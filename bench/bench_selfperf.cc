@@ -15,15 +15,6 @@
  *  - full_vm_sweep: VMM-exclusive management (full-VM hotness sweeps
  *    over the guest's entire gpfn space).
  *
- * The coordinated and full-VM-sweep scenarios also run in "legacy"
- * mode — placement sampling answered by walking region pages instead
- * of the ResidencyIndex, and sweeps probing every free descriptor
- * instead of skipping runs — which is the pre-optimization ("before")
- * implementation retained as a cross-check. Simulated results are
- * bit-identical between the modes (enforced by
- * test_golden_determinism); only the host-time cost differs, and the
- * recorded before/after pair is the speedup evidence.
- *
  * Output: google-benchmark console output, plus a machine-readable
  * summary written to BENCH_selfperf.json (override the path with
  * HOS_SELFPERF_OUT). The file is not overwritten blindly: an existing
@@ -65,13 +56,11 @@ recordSimTime(benchmark::State &state, double sim_seconds)
 }
 
 void
-BM_Coordinated(benchmark::State &state, bool legacy)
+BM_Coordinated(benchmark::State &state)
 {
     const core::Scenario s =
         bench::paperScenario(core::Approach::Coordinated)
-            .withLegacySampling(legacy)
-            .withName(legacy ? "selfperf-coordinated-legacy"
-                             : "selfperf-coordinated");
+            .withName("selfperf-coordinated");
     double sim_seconds = 0.0;
     for (auto _ : state) {
         const auto r = core::run(s);
@@ -82,13 +71,11 @@ BM_Coordinated(benchmark::State &state, bool legacy)
 }
 
 void
-BM_FullVmSweep(benchmark::State &state, bool legacy)
+BM_FullVmSweep(benchmark::State &state)
 {
     // VMM-exclusive over the paper host: the tracker sweeps the whole
-    // guest gpfn space every interval. Legacy mode disables the
-    // free-run skip, probing every descriptor as the pre-optimization
-    // walk did; the system is assembled by hand because that knob
-    // lives in the policy's HotnessConfig, not the Scenario.
+    // guest gpfn space every interval. The system is assembled by
+    // hand with a default HotnessConfig, as every recorded run was.
     const core::Scenario s =
         bench::paperScenario(core::Approach::VmmExclusive);
     const workload::WorkloadFactory factory =
@@ -96,11 +83,9 @@ BM_FullVmSweep(benchmark::State &state, bool legacy)
     double sim_seconds = 0.0;
     for (auto _ : state) {
         core::HeteroSystem sys(s.host());
-        sys.setLegacyPlacementSampling(legacy);
-        vmm::HotnessConfig hotness;
-        hotness.free_run_skip = !legacy;
         auto &slot = sys.addVm(
-            std::make_unique<policy::VmmExclusivePolicy>(hotness),
+            std::make_unique<policy::VmmExclusivePolicy>(
+                vmm::HotnessConfig{}),
             s.sizing());
         const auto r = sys.runOne(slot, factory);
         sim_seconds += r.seconds();
@@ -110,14 +95,11 @@ BM_FullVmSweep(benchmark::State &state, bool legacy)
 }
 
 void
-BM_TwoVmDrf(benchmark::State &state, bool legacy)
+BM_TwoVmDrf(benchmark::State &state)
 {
     // Two coordinated VMs overcommitting a shared host under
     // weighted DRF — the heaviest steady-state configuration: two
-    // kernels, ballooning, and cross-VM arbitration. Legacy mode
-    // routes balloon grows through the pre-SoA take/return protocol
-    // (a gpfn vector materialized per hypercall) instead of the
-    // lazy-reversal peek/commit stack.
+    // kernels, ballooning, and cross-VM arbitration.
     const double scale = bench::benchScale();
     double sim_seconds = 0.0;
     for (auto _ : state) {
@@ -126,7 +108,6 @@ BM_TwoVmDrf(benchmark::State &state, bool legacy)
         host.slow =
             mem::defaultSlowMemSpec(bench::scaledBytes(8 * mem::gib));
         core::HeteroSystem sys(host);
-        sys.setLegacyBalloonPath(legacy);
         sys.vmm().setFairness(std::make_unique<vmm::DrfFairness>());
 
         core::GuestSizing g;
@@ -157,8 +138,7 @@ BM_TwoVmDrf(benchmark::State &state, bool legacy)
 
 /**
  * Console reporter that also captures per-benchmark wall time so the
- * exit hook can write BENCH_selfperf.json, including the before/after
- * (legacy vs optimized) speedups.
+ * exit hook can write BENCH_selfperf.json.
  */
 class SelfperfReporter final : public benchmark::ConsoleReporter
 {
@@ -293,26 +273,6 @@ writeJson(const SelfperfReporter &rep, const char *path)
     }
     w.endObject();
 
-    // Before/after pairs: <name>/legacy is the pre-optimization
-    // implementation (retained in-tree as a cross-check), <name> the
-    // optimized one. Speedup is legacy wall time over optimized wall
-    // time for the same simulated work.
-    w.key("speedups");
-    w.beginObject();
-    const auto &runs = rep.runs();
-    for (const auto &[name, run] : runs) {
-        const auto it = runs.find(name + "/legacy");
-        if (it == runs.end() || run.real_s <= 0.0)
-            continue;
-        w.key(name);
-        w.beginObject();
-        w.kv("before_real_time_s", it->second.real_s);
-        w.kv("after_real_time_s", run.real_s);
-        w.kv("speedup", it->second.real_s / run.real_s);
-        w.endObject();
-    }
-    w.endObject();
-
     // Oldest first; the record that was this file's top level last
     // run is the final entry.
     w.key("history");
@@ -358,10 +318,9 @@ writeProfileJson(const char *path)
             bench::paperScenario(core::Approach::VmmExclusive);
         core::HeteroSystem sys(s.host());
         sys.enableProfiling();
-        vmm::HotnessConfig hotness;
-        hotness.free_run_skip = true;
         auto &slot = sys.addVm(
-            std::make_unique<policy::VmmExclusivePolicy>(hotness),
+            std::make_unique<policy::VmmExclusivePolicy>(
+                vmm::HotnessConfig{}),
             s.sizing());
         sys.runOne(slot, workload::makeApp(s.app, s.scale));
         profiles.emplace_back("full_vm_sweep", sys.profiler().report());
@@ -419,23 +378,14 @@ writeProfileJson(const char *path)
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_Coordinated, , false)
+BENCHMARK(BM_Coordinated)
     ->Name("coordinated")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Coordinated, , true)
-    ->Name("coordinated/legacy")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullVmSweep, , false)
+BENCHMARK(BM_FullVmSweep)
     ->Name("full_vm_sweep")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullVmSweep, , true)
-    ->Name("full_vm_sweep/legacy")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TwoVmDrf, , false)
+BENCHMARK(BM_TwoVmDrf)
     ->Name("two_vm_drf")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TwoVmDrf, , true)
-    ->Name("two_vm_drf/legacy")
     ->Unit(benchmark::kMillisecond);
 
 int

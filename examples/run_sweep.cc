@@ -62,10 +62,9 @@ listKeys()
               "  slow_bytes llc_bytes scale seed cpus name\n"
               "hotness spec keys (hotness.<key>):\n"
               "  backend (pte_scan|region) interval_ms pages_per_scan\n"
-              "  hot_threshold adaptive free_run_skip region_min\n"
-              "  region_max region_probes region_min_pages\n"
-              "  region_split_threshold region_merge_heat_delta\n"
-              "  legacy_placement_sampling\n"
+              "  hot_threshold adaptive region_min region_max\n"
+              "  region_probes region_min_pages region_split_threshold\n"
+              "  region_merge_heat_delta\n"
               "  e.g. --axis=hotness.backend=pte_scan,region");
     std::fputs("approaches:", stdout);
     for (core::Approach a : core::allApproaches)

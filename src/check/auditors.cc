@@ -332,76 +332,6 @@ auditKernel(guestos::GuestKernel &kernel)
         }
     }
 
-    r.merge(auditResidency(kernel));
-    return r;
-}
-
-AuditResult
-auditResidency(guestos::GuestKernel &kernel)
-{
-    AuditResult r;
-    guestos::ResidencyIndex &res = kernel.residency();
-    const PageArray &pages = kernel.pages();
-
-    for (guestos::RegionHandle h = 0; h < res.regionTableSize(); ++h) {
-        if (!res.regionLive(h))
-            continue;
-        const guestos::ProcessId pid = res.regionPid(h);
-        const std::uint64_t vma_start = res.regionVmaStart(h);
-        const std::string rw = kernel.name() + ".residency.region" +
-                               std::to_string(h);
-        if (!kernel.hasProcess(pid)) {
-            r.addFailure(CheckKind::Residency, invalidSubject, rw,
-                         "registered region owned by a dead process");
-            continue;
-        }
-        guestos::AddressSpace &as = kernel.process(pid);
-
-        std::uint64_t fast_count = 0;
-        const std::uint64_t count = res.pageCount(h);
-        for (std::uint64_t idx = 0; idx < count; ++idx) {
-            const Gpfn bound = res.binding(h, idx);
-            const std::uint64_t va = vma_start + idx * mem::pageSize;
-
-            // Re-derive the effective binding exactly as the legacy
-            // regionPage refresh would: trust the bound gpfn while
-            // the descriptor still maps this (process, va); otherwise
-            // ask the page table; keep the stale gpfn when the va is
-            // unmapped (balloon swap-out).
-            Gpfn effective = bound;
-            const PageRef p = pages.page(bound);
-            if (!p.allocated() || p.vaddr() != va ||
-                p.owner_process() != pid) {
-                if (auto cur = as.translate(va))
-                    effective = *cur;
-            }
-
-            r.checks += 2;
-            if (effective != bound) {
-                r.addFailure(CheckKind::Residency, bound, rw,
-                             "binding for index " + std::to_string(idx) +
-                                 " lags the page table (maps gpfn " +
-                                 std::to_string(effective) + ")");
-            }
-            const bool fast = kernel.backingOf(effective) ==
-                              mem::MemType::FastMem;
-            if (fast != res.fastBit(h, idx)) {
-                r.addFailure(CheckKind::Residency, bound, rw,
-                             "fast bit for index " + std::to_string(idx) +
-                                 " disagrees with the placement oracle");
-            }
-            if (fast)
-                ++fast_count;
-        }
-
-        ++r.checks;
-        if (fast_count != res.fastTotal(h)) {
-            r.addFailure(CheckKind::Residency, invalidSubject, rw,
-                         "fast_total " + std::to_string(res.fastTotal(h)) +
-                             " != recounted " +
-                             std::to_string(fast_count));
-        }
-    }
     return r;
 }
 

@@ -75,18 +75,6 @@ AuditResult auditList(const guestos::PageArray &pages,
 AuditResult auditKernel(guestos::GuestKernel &kernel);
 
 /**
- * Cross-check the kernel's ResidencyIndex against ground truth: for
- * every registered region index, re-derive the effective binding with
- * the legacy sampling rule (descriptor ownership checks, then a page-
- * table translate, else the stale binding) and the effective tier
- * through the placement oracle, and compare with the stored binding
- * bit and the running fast_total. This is the exhaustive form of the
- * legacy-sampling cross-check: zero divergence here means every
- * possible sample probe agrees between the two implementations.
- */
-AuditResult auditResidency(guestos::GuestKernel &kernel);
-
-/**
  * Reconcile the kernel's StatRegistry gauges against live zone
  * state: refreshes the registry (running the refresh hooks as the
  * snapshot daemon would), then recomputes node free/managed counts

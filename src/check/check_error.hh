@@ -31,13 +31,12 @@ enum class CheckKind : std::uint8_t {
     Lru,            ///< LRU state bits disagree with list membership
     P2m,            ///< guest P2M vs VMM machine-frame ownership drift
     StatDrift,      ///< StatRegistry gauge disagrees with live state
-    Residency,      ///< ResidencyIndex disagrees with recomputed truth
     Prof,           ///< profiler span stack imbalance (hos::prof)
     Xray,           ///< xray shadow state disagrees with page truth
     Metrics,        ///< metrics aggregates disagree with kernel truth
 };
 
-constexpr std::size_t numCheckKinds = 12;
+constexpr std::size_t numCheckKinds = 11;
 
 constexpr const char *
 checkKindName(CheckKind k)
@@ -59,8 +58,6 @@ checkKindName(CheckKind k)
         return "p2m";
       case CheckKind::StatDrift:
         return "stat-drift";
-      case CheckKind::Residency:
-        return "residency";
       case CheckKind::Prof:
         return "prof";
       case CheckKind::Xray:

@@ -61,8 +61,6 @@ std::unique_ptr<HeteroSystem>
 systemFor(const Scenario &s)
 {
     auto sys = std::make_unique<HeteroSystem>(s.host());
-    sys->setLegacyPlacementSampling(
-        s.hotness.legacy_placement_sampling);
     if (s.profiling)
         sys->enableProfiling();
     if (s.xray)

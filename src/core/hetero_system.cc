@@ -78,7 +78,6 @@ HeteroSystem::addVm(std::unique_ptr<policy::ManagementPolicy> policy,
     auto slot = std::make_unique<VmSlot>();
     slot->policy = std::move(policy);
     slot->kernel = std::make_unique<guestos::GuestKernel>(gcfg);
-    slot->kernel->balloon().setLegacyPath(legacy_balloon_path_);
 
     vmm::VmConfig vcfg;
     vcfg.name = gcfg.name;
@@ -126,7 +125,6 @@ HeteroSystem::envFor(VmSlot &slot)
     env.report_misses = [this, id](std::uint64_t misses) {
         vmm_->vm(id).reportLlcMisses(misses);
     };
-    env.legacy_placement_sampling = legacy_placement_sampling_;
     return env;
 }
 

@@ -165,29 +165,6 @@ class HeteroSystem
     /** This system's metrics collector (see enableMetrics). */
     metrics::Collector &metricsCollector() { return metrics_; }
 
-    /**
-     * Run workloads with the legacy per-phase placement sampling
-     * instead of the ResidencyIndex (bit-identical cross-check path).
-     * Must be set before workloads are created via envFor/runOne.
-     */
-    void setLegacyPlacementSampling(bool on)
-    {
-        legacy_placement_sampling_ = on;
-    }
-    bool legacyPlacementSampling() const
-    {
-        return legacy_placement_sampling_;
-    }
-
-    /**
-     * Route balloon grows through the pre-SoA take/return hypercall
-     * protocol instead of peek/commit (bit-identical cross-check
-     * path; see BalloonFrontend::setLegacyPath). Applies to VMs added
-     * after the call.
-     */
-    void setLegacyBalloonPath(bool on) { legacy_balloon_path_ = on; }
-    bool legacyBalloonPath() const { return legacy_balloon_path_; }
-
     /** Build the workload environment for a VM. */
     workload::VmEnv envFor(VmSlot &slot);
 
@@ -223,8 +200,6 @@ class HeteroSystem
     bool prof_enabled_ = false;
     bool xray_enabled_ = false;
     bool metrics_enabled_ = false;
-    bool legacy_placement_sampling_ = false;
-    bool legacy_balloon_path_ = false;
     unsigned active_vms_ = 1;
 };
 

@@ -77,23 +77,6 @@ exactU64(const std::string &text, double num)
     return static_cast<std::uint64_t>(num);
 }
 
-/**
- * One-time deprecation notice for the pre-`hotness` loose keys. The
- * keys keep parsing forever; the nag tells scenario authors where the
- * knob lives now.
- */
-void
-warnLooseHotnessKey(const std::string &key, const char *new_key)
-{
-    static bool warned = false;
-    if (warned)
-        return;
-    warned = true;
-    sim::warn("scenario key '%s' is deprecated; set it inside the "
-              "structured 'hotness' object (hotness.%s)",
-              key.c_str(), new_key);
-}
-
 bool
 parseBool(const std::string &value, bool &out)
 {
@@ -108,16 +91,30 @@ parseBool(const std::string &value, bool &out)
     return false;
 }
 
+/**
+ * Reject a non-numeric value for `key`. An unknown key is reported as
+ * such (probing with a valid number), so a retired key never reads as
+ * a bad value.
+ */
+bool
+badNumber(const std::string &key, const std::string &value,
+          std::string *error)
+{
+    Scenario probe;
+    if (!applyScenarioParam(probe, key, "0", error))
+        return false;
+    return setError(error, "bad value '" + value + "' for '" + key + "'");
+}
+
 } // namespace
 
 bool
 HotnessSpec::isDefault() const
 {
     return backend == "pte_scan" && !interval_ms && !pages_per_scan &&
-           !hot_threshold && !adaptive && !free_run_skip &&
-           !region_min && !region_max && !region_probes &&
-           !region_min_pages && !region_split_threshold &&
-           !region_merge_heat_delta && !legacy_placement_sampling;
+           !hot_threshold && !adaptive && !region_min && !region_max &&
+           !region_probes && !region_min_pages &&
+           !region_split_threshold && !region_merge_heat_delta;
 }
 
 vmm::HotnessConfig
@@ -137,8 +134,6 @@ HotnessSpec::apply(vmm::HotnessConfig base) const
         base.hot_threshold = static_cast<std::uint16_t>(*hot_threshold);
     if (adaptive)
         base.adaptive = *adaptive;
-    if (free_run_skip)
-        base.free_run_skip = *free_run_skip;
     if (region_min)
         base.region_min = *region_min;
     if (region_max)
@@ -285,8 +280,6 @@ scenarioToJson(sim::JsonWriter &w, const Scenario &s)
                  static_cast<std::uint64_t>(*h.hot_threshold));
         if (h.adaptive)
             w.kv("adaptive", *h.adaptive);
-        if (h.free_run_skip)
-            w.kv("free_run_skip", *h.free_run_skip);
         if (h.region_min)
             w.kv("region_min",
                  static_cast<std::uint64_t>(*h.region_min));
@@ -303,8 +296,6 @@ scenarioToJson(sim::JsonWriter &w, const Scenario &s)
         if (h.region_merge_heat_delta)
             w.kv("region_merge_heat_delta",
                  static_cast<std::uint64_t>(*h.region_merge_heat_delta));
-        if (h.legacy_placement_sampling)
-            w.kv("legacy_placement_sampling", true);
         w.endObject();
     }
     if (s.profiling)
@@ -432,26 +423,18 @@ applyScenarioParam(Scenario &s, const std::string &key,
             h.backend = value;
             return true;
         }
-        if (sub == "adaptive" || sub == "free_run_skip" ||
-            sub == "legacy_placement_sampling") {
+        if (sub == "adaptive") {
             bool on = false;
             if (!parseBool(value, on)) {
                 return setError(
                     error, "bad value '" + value + "' for '" + key + "'");
             }
-            if (sub == "adaptive")
-                h.adaptive = on;
-            else if (sub == "free_run_skip")
-                h.free_run_skip = on;
-            else
-                h.legacy_placement_sampling = on;
+            h.adaptive = on;
             return true;
         }
         double num = 0.0;
-        if (!parseNumber(value, num)) {
-            return setError(error,
-                            "bad value '" + value + "' for '" + key + "'");
-        }
+        if (!parseNumber(value, num))
+            return badNumber(key, value, error);
         if (sub == "interval_ms") {
             h.interval_ms = num;
         } else if (sub == "pages_per_scan") {
@@ -477,21 +460,6 @@ applyScenarioParam(Scenario &s, const std::string &key,
         return true;
     }
 
-    // --- Deprecated loose hotness keys (pre-`hotness` spellings) ---
-    if (key == "legacy_placement_sampling" || key == "adaptive" ||
-        key == "free_run_skip") {
-        warnLooseHotnessKey(key, key.c_str());
-        return applyScenarioParam(s, "hotness." + key, value, error);
-    }
-    if (key == "interval") {
-        warnLooseHotnessKey(key, "interval_ms");
-        return applyScenarioParam(s, "hotness.interval_ms", value,
-                                  error);
-    }
-    if (key == "pages_per_scan" || key == "hot_threshold") {
-        warnLooseHotnessKey(key, key.c_str());
-        return applyScenarioParam(s, "hotness." + key, value, error);
-    }
     if (key == "profiling") {
         if (value == "true" || value == "1") {
             s.profiling = true;
@@ -528,8 +496,7 @@ applyScenarioParam(Scenario &s, const std::string &key,
 
     double num = 0.0;
     if (!parseNumber(value, num))
-        return setError(error,
-                        "bad value '" + value + "' for '" + key + "'");
+        return badNumber(key, value, error);
     const auto bytes = [&]() { return exactU64(value, num); };
     if (key == "slow_lat_factor" || key == "slow_lat") {
         s.slow_lat_factor = num;

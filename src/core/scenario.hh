@@ -82,7 +82,6 @@ struct HotnessSpec
     std::optional<std::uint64_t> pages_per_scan;
     std::optional<std::uint32_t> hot_threshold;
     std::optional<bool> adaptive;
-    std::optional<bool> free_run_skip;
 
     // Region-backend knobs (see vmm::HotnessConfig for semantics).
     std::optional<std::uint32_t> region_min;
@@ -91,14 +90,6 @@ struct HotnessSpec
     std::optional<std::uint64_t> region_min_pages;
     std::optional<double> region_split_threshold;
     std::optional<std::uint32_t> region_merge_heat_delta;
-
-    /**
-     * Run the workload engine's legacy per-phase placement sampling
-     * instead of the incremental ResidencyIndex. Bit-identical by
-     * construction; kept as the cross-check the golden-determinism
-     * test and perf benchmarks compare against.
-     */
-    bool legacy_placement_sampling = false;
 
     /** True when nothing deviates from the defaults (JSON elision). */
     bool isDefault() const;
@@ -208,11 +199,6 @@ struct Scenario
     Scenario &withHotnessBackend(std::string backend)
     {
         hotness.backend = std::move(backend);
-        return *this;
-    }
-    Scenario &withLegacySampling(bool on = true)
-    {
-        hotness.legacy_placement_sampling = on;
         return *this;
     }
     Scenario &withProfiling(bool on = true)

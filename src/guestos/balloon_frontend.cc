@@ -77,41 +77,22 @@ BalloonFrontend::requestPages(mem::MemType type, std::uint64_t pages)
                   kernel_.events(), 0,
                   static_cast<std::uint8_t>(type));
     requested_.inc(pages);
-    std::uint64_t granted = 0;
-    if (legacy_path_) {
-        auto gpfns = kernel_.takeUnpopulatedGpfns(node->id(), pages);
-        if (gpfns.empty())
-            return 0; // reservation already at the node ceiling
-        granted = backend_->populatePages(node->id(),
-                                          UnpopulatedView(gpfns));
-        for (std::uint64_t i = 0; i < granted; ++i) {
-            kernel_.pageMeta(gpfns[i]).setPopulated(true);
-            Zone &z = node->zoneOf(gpfns[i]);
-            z.buddy().addFreeRange(gpfns[i], 1);
-        }
-        if (granted < gpfns.size()) {
-            kernel_.returnUnpopulatedGpfns(
-                node->id(), std::vector<Gpfn>(gpfns.begin() + granted,
-                                              gpfns.end()));
-        }
-    } else {
-        // Hot path: no gpfn vector materializes. The back-end reads
-        // straight off the unpopulated stack through a view, and the
-        // commit settles take+return in O(1) when nothing (the DRF
-        // pressure storm) or a clean prefix was granted.
-        const UnpopulatedView view =
-            kernel_.peekUnpopulatedGpfns(node->id(), pages);
-        if (view.empty())
-            return 0; // reservation already at the node ceiling
-        granted = backend_->populatePages(node->id(), view);
-        for (std::uint64_t i = 0; i < granted; ++i) {
-            const Gpfn pfn = view[i];
-            kernel_.pageMeta(pfn).setPopulated(true);
-            node->zoneOf(pfn).buddy().addFreeRange(pfn, 1);
-        }
-        kernel_.commitUnpopulatedGpfns(node->id(), view.size(),
-                                       granted);
+    // No gpfn vector materializes. The back-end reads straight off
+    // the unpopulated stack through a view, and the commit settles
+    // take+return in O(1) when nothing (the DRF pressure storm) or a
+    // clean prefix was granted.
+    const UnpopulatedView view =
+        kernel_.peekUnpopulatedGpfns(node->id(), pages);
+    if (view.empty())
+        return 0; // reservation already at the node ceiling
+    const std::uint64_t granted =
+        backend_->populatePages(node->id(), view);
+    for (std::uint64_t i = 0; i < granted; ++i) {
+        const Gpfn pfn = view[i];
+        kernel_.pageMeta(pfn).setPopulated(true);
+        node->zoneOf(pfn).buddy().addFreeRange(pfn, 1);
     }
+    kernel_.commitUnpopulatedGpfns(node->id(), view.size(), granted);
     for (std::size_t zi = 0; zi < node->numZones(); ++zi)
         node->zone(zi).updateWatermarks();
     populated_[node->id()] += granted;

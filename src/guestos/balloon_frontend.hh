@@ -36,14 +36,6 @@ class BalloonFrontend
     bool attached() const { return backend_ != nullptr; }
 
     /**
-     * Route requestPages through the pre-SoA take/return protocol
-     * (materializes a gpfn vector per hypercall). Bit-identical to
-     * the default peek/commit path; kept for before/after self-perf
-     * measurement, like setLegacyPlacementSampling.
-     */
-    void setLegacyPath(bool on) { legacy_path_ = on; }
-
-    /**
      * Populate the initial reservation of a node (boot path).
      * Returns pages actually granted.
      */
@@ -73,7 +65,6 @@ class BalloonFrontend
   private:
     GuestKernel &kernel_;
     BalloonBackendIf *backend_ = nullptr;
-    bool legacy_path_ = false;
     std::vector<std::uint64_t> populated_; ///< per node
     sim::Counter requested_;
     sim::Counter granted_;

@@ -91,7 +91,6 @@ HeteroLru::demotePage(Gpfn pfn)
         d.setVaddr(p.vaddr());
         d.setDirty(p.dirty());
         as.pageTable().remap(p.vaddr(), dst);
-        kernel_.residency().onRemap(p.owner_process(), p.vaddr(), dst);
 
         const bool was_on_lru = p.lru() != LruState::None;
         if (was_on_lru)

@@ -102,7 +102,6 @@ GuestKernel::GuestKernel(GuestConfig cfg)
     slab_ = std::make_unique<SlabAllocator>(*this);
     swap_ = std::make_unique<SwapDevice>(
         disk_, mem::bytesToPages(cfg_.swap_bytes));
-    residency_ = std::make_unique<ResidencyIndex>(*this);
 }
 
 GuestKernel::~GuestKernel() = default;

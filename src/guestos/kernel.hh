@@ -35,7 +35,6 @@
 #include "guestos/page.hh"
 #include "guestos/page_cache.hh"
 #include "guestos/percpu_lists.hh"
-#include "guestos/residency.hh"
 #include "guestos/slab.hh"
 #include "guestos/swap.hh"
 #include "mem/tlb_model.hh"
@@ -153,7 +152,6 @@ class GuestKernel final : public MmBacking,
     PageCache &pageCache() { return *page_cache_; }
     SlabAllocator &slab() { return *slab_; }
     SwapDevice &swap() { return *swap_; }
-    ResidencyIndex &residency() { return *residency_; }
     BlockDevice &disk() { return disk_; }
     PerCpuPageLists &percpu() { return *percpu_; }
     sim::EventQueue &events() { return events_; }
@@ -343,7 +341,6 @@ class GuestKernel final : public MmBacking,
     std::unique_ptr<PageCache> page_cache_;
     std::unique_ptr<SlabAllocator> slab_;
     std::unique_ptr<SwapDevice> swap_;
-    std::unique_ptr<ResidencyIndex> residency_;
 
     std::function<mem::MemType(Gpfn)> backing_oracle_;
 

@@ -101,7 +101,6 @@ MigrationFrontend::migrateOne(Gpfn pfn, mem::MemType dst,
         d.setDirty(p.dirty());
         d.setPteAccessed(p.pte_accessed());
         as.pageTable().remap(p.vaddr(), newp);
-        kernel_.residency().onRemap(p.owner_process(), p.vaddr(), newp);
 
         if (p.lru() != LruState::None)
             kernel_.lruRemove(pfn);

@@ -52,15 +52,6 @@ VmmExclusivePolicy::attach(vmm::Vmm &vmm, vmm::VmId id,
         return vm.p2m().populated(pfn) ? vm.p2m().tierOf(pfn)
                                        : mem::MemType::SlowMem;
     });
-    // Under the oracle a gpfn's tier changes behind the guest's back
-    // (P2M retargets); feed every change to the residency index so
-    // its per-region fast bits stay exact.
-    kernel.residency().enableTierNotifications();
-    vm.p2m().setChangeHook(
-        [&kernel](guestos::Gpfn pfn, mem::MemType effective) {
-            kernel.residency().onTierChange(pfn, effective);
-        });
-
     // The HeteroVisor loop: scan a batch, promote hot pages (evicting
     // the coldest fast-backed pages when FastMem is full), rate-
     // limited as real migration engines are.

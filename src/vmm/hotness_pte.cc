@@ -98,13 +98,10 @@ PteScanTracker::scanOnce()
             guestos::PageRef p = pages.page(cursor_);
             if (!p.allocated()) {
                 // Skipping a free run of length L consumes exactly L
-                // steps, so cursor and visited counts match the
-                // page-at-a-time walk (free_run_skip=false) bit for
-                // bit.
+                // steps, so cursor and visited counts match a
+                // page-at-a-time walk bit for bit.
                 const std::uint64_t run =
-                    cfg_.free_run_skip
-                        ? pages.freeRunLength(cursor_, span - step)
-                        : 1;
+                    pages.freeRunLength(cursor_, span - step);
                 step += run;
                 cursor_ += run; // freeRunLength stops at the array end
                 if (cursor_ == span)

@@ -85,14 +85,6 @@ struct HotnessConfig
         return static_cast<std::uint64_t>(
             promote_rate_pps * sim::toSeconds(effective_interval));
     }
-    /**
-     * Skip free-page runs in full-VM sweeps via the PageArray's
-     * per-chunk allocated counters. Observationally identical to the
-     * page-at-a-time walk (a skipped run advances cursor and step
-     * exactly as the walk would); off = legacy walk, kept as a
-     * performance cross-check.
-     */
-    bool free_run_skip = true;
     /** Equation 1 adaptive interval. */
     bool adaptive = false;
     sim::Duration min_interval = sim::milliseconds(50);

@@ -25,8 +25,6 @@ P2m::set(Gpfn gpfn, mem::Mfn mfn, mem::MemType tier)
     map_[gpfn] = mfn;
     tier_[gpfn] = static_cast<std::uint8_t>(tier);
     ++tier_count_[static_cast<std::size_t>(tier)];
-    if (hook_)
-        hook_(gpfn, tier);
 }
 
 void
@@ -38,8 +36,6 @@ P2m::clear(Gpfn gpfn)
     map_[gpfn] = mem::invalidMfn;
     tier_[gpfn] = 0xff;
     --populated_count_;
-    if (hook_)
-        hook_(gpfn, mem::MemType::SlowMem);
 }
 
 bool

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "guestos/page.hh"
@@ -30,17 +29,7 @@ using guestos::Gpfn;
 class P2m
 {
   public:
-    /**
-     * Observer of effective-tier changes: called with the tier now
-     * serving the gpfn (SlowMem when unpopulated, matching the
-     * VMM-exclusive placement oracle's fallback). Lets the guest's
-     * ResidencyIndex track hidden placement changes incrementally.
-     */
-    using ChangeHook = std::function<void(Gpfn, mem::MemType)>;
-
     explicit P2m(std::uint64_t num_gpfns);
-
-    void setChangeHook(ChangeHook hook) { hook_ = std::move(hook); }
 
     /** Install a mapping (page populate or migration retarget). */
     void set(Gpfn gpfn, mem::Mfn mfn, mem::MemType tier);
@@ -58,7 +47,6 @@ class P2m
     std::uint64_t size() const { return map_.size(); }
 
   private:
-    ChangeHook hook_;
     std::vector<mem::Mfn> map_;
     std::vector<std::uint8_t> tier_;
     std::uint64_t populated_count_ = 0;

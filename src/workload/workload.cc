@@ -16,7 +16,6 @@ constexpr std::uint64_t placementSample = 512;
 
 Workload::Workload(VmEnv env, std::string name)
     : env_(std::move(env)), name_(std::move(name)),
-      legacy_sampling_(env_.legacy_placement_sampling),
       rng_(env_.kernel->config().seed ^ 0x3017ull)
 {
     hos_assert(env_.kernel && env_.llc && env_.device,
@@ -122,8 +121,6 @@ Workload::makeAnonRegion(const std::string &name, std::uint64_t bytes,
     r.wss_pages = mem::bytesToPages(wss_bytes);
     r.vma_start = mainProcess().mmap(bytes, guestos::VmaKind::Anon, hint,
                                      guestos::noFile, 0, name);
-    r.residency = kernel().residency().registerRegion(
-        mainProcess().pid(), r.vma_start);
     return r;
 }
 
@@ -151,17 +148,12 @@ Workload::growRegion(Region &r, std::uint64_t bytes)
             break;
         }
         r.pages.push_back(pfn);
-        kernel().residency().appendPage(r.residency, pfn);
     }
 }
 
 void
 Workload::releaseRegion(Region &r)
 {
-    if (r.residency != guestos::invalidRegionHandle) {
-        kernel().residency().unregisterRegion(r.residency);
-        r.residency = guestos::invalidRegionHandle;
-    }
     if (r.vma_start != 0)
         mainProcess().munmap(r.vma_start);
     r.pages.clear();
@@ -171,17 +163,6 @@ Workload::releaseRegion(Region &r)
 guestos::Gpfn
 Workload::regionPage(Region &r, std::uint64_t idx)
 {
-    if (!legacy_sampling_ && r.type == guestos::PageType::Anon &&
-        r.residency != guestos::invalidRegionHandle) {
-        // The residency index re-points bindings eagerly at every
-        // remap, with the same stale-on-unmap semantics as the lazy
-        // refresh below — one vector read replaces the descriptor
-        // checks and occasional page-table walk.
-        const guestos::Gpfn pfn =
-            kernel().residency().binding(r.residency, idx);
-        r.pages[idx] = pfn;
-        return pfn;
-    }
     guestos::Gpfn pfn = r.pages[idx];
     if (r.type != guestos::PageType::Anon)
         return pfn;
@@ -208,45 +189,28 @@ Workload::sampleWindowFast(Region &r, std::uint64_t start,
     const std::uint64_t n =
         std::min<std::uint64_t>(placementSample, count);
     std::uint64_t fast = 0;
-    if (!legacy_sampling_ && r.type == guestos::PageType::Anon &&
-        r.residency != guestos::invalidRegionHandle) {
-        auto &res = kernel().residency();
-        if (n == count) {
-            // Exhaustive window: the even sampling visits exactly
-            // the consecutive circular range [start, start+count),
-            // which the index answers with masked popcounts.
-            fast = res.fastInRange(r.residency, start % size, count);
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const std::uint64_t idx =
-                    (start + (i * count) / n) % size;
-                fast += res.fastBit(r.residency, idx) ? 1 : 0;
+    if (n == count) {
+        // Exhaustive window: consecutive indices, so the modulo
+        // reduces to a conditional wrap.
+        std::uint64_t idx = start % size;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (kernel().backingOf(regionPage(r, idx)) ==
+                mem::MemType::FastMem) {
+                ++fast;
             }
+            if (++idx == size)
+                idx = 0;
         }
     } else {
-        if (n == count) {
-            // Exhaustive window: consecutive indices, so the modulo
-            // reduces to a conditional wrap.
-            std::uint64_t idx = start % size;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                if (kernel().backingOf(regionPage(r, idx)) ==
-                    mem::MemType::FastMem) {
-                    ++fast;
-                }
-                if (++idx == size)
-                    idx = 0;
-            }
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i) {
-                // Even sampling keeps the estimate deterministic and
-                // unbiased w.r.t. migrations. The window is circular
-                // over the region (hot sets drift).
-                const std::uint64_t idx =
-                    (start + (i * count) / n) % size;
-                if (kernel().backingOf(regionPage(r, idx)) ==
-                    mem::MemType::FastMem) {
-                    ++fast;
-                }
+        for (std::uint64_t i = 0; i < n; ++i) {
+            // Even sampling keeps the estimate deterministic and
+            // unbiased w.r.t. migrations. The window is circular
+            // over the region (hot sets drift).
+            const std::uint64_t idx =
+                (start + (i * count) / n) % size;
+            if (kernel().backingOf(regionPage(r, idx)) ==
+                mem::MemType::FastMem) {
+                ++fast;
             }
         }
     }

@@ -53,13 +53,6 @@ struct VmEnv
     std::function<unsigned()> sharers = [] { return 1u; };
     /** Report cumulative LLC misses (Equation 1 input); optional. */
     std::function<void(std::uint64_t)> report_misses;
-    /**
-     * Use the legacy per-phase placement *sampling* instead of the
-     * incremental ResidencyIndex. The two are bit-identical (the
-     * golden-determinism test and check::auditResidency enforce it);
-     * the legacy path is retained as the cross-check.
-     */
-    bool legacy_placement_sampling = false;
 };
 
 /** A workload-managed set of pages with a locality profile. */
@@ -96,8 +89,6 @@ struct Region
     std::uint64_t window_start = 0;    ///< current hot-window origin
     std::uint64_t mark_cursor = 0;     ///< rotating accessed-bit slice
     bool oom_warned = false;           ///< growRegion warn-once latch
-    /** ResidencyIndex registration (anon regions). */
-    guestos::RegionHandle residency = guestos::invalidRegionHandle;
 };
 
 /** Base class for application models. */
@@ -253,7 +244,6 @@ class Workload
 
     VmEnv env_;
     std::string name_;
-    bool legacy_sampling_ = false;
     sim::Rng rng_;
     guestos::AddressSpace *main_process_ = nullptr;
 

@@ -1,4 +1,4 @@
-// Fixture: loose-hotness-key. Deprecated loose hotness keys in
+// Fixture: loose-hotness-key. Retired loose hotness keys in
 // scenario literals (the test lexes this under a virtual tests/
 // path). Never compiled.
 void applyScenarioParam(int &s, const char *k, const char *v);

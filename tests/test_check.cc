@@ -282,38 +282,6 @@ TEST_F(AuditFixture, ConservationIdentityBreakIsZoneAccounting)
     EXPECT_GE(countKind(r, CheckKind::ZoneAccounting), 1u);
 }
 
-TEST_F(AuditFixture, ResidencyBitDriftIsResidency)
-{
-    // Ground truth setup: one registered region over live pages.
-    auto &as = kernel->createProcess("p");
-    const auto va = as.mmap(8 * mem::pageSize, guestos::VmaKind::Anon,
-                            guestos::MemHint::SlowMem);
-    auto &res = kernel->residency();
-    const auto h = res.registerRegion(as.pid(), va);
-    std::vector<Gpfn> pfns;
-    for (int i = 0; i < 8; ++i) {
-        pfns.push_back(as.touch(va + i * mem::pageSize, true));
-        res.appendPage(h, pfns.back());
-    }
-    res.enableTierNotifications();
-
-    // Positive control: the index agrees with the legacy re-derivation.
-    ASSERT_TRUE(check::auditResidency(*kernel).ok());
-
-    // The corruption: a tier notification that never happened — the
-    // stored fast bit now disagrees with the page's actual backing.
-    res.onTierChange(pfns[3], mem::MemType::FastMem);
-
-    const AuditResult r = check::auditKernel(*kernel);
-    ASSERT_FALSE(r.ok());
-    EXPECT_GE(countKind(r, CheckKind::Residency), 1u);
-    bool flagged = false;
-    for (const auto &f : r.failures)
-        if (f.kind == CheckKind::Residency && f.subject == pfns[3])
-            flagged = true;
-    EXPECT_TRUE(flagged) << "drifted binding not the failure subject";
-}
-
 TEST_F(AuditFixture, StaleGaugesAreStatDrift)
 {
     sim::StatRegistry registry;

@@ -1,12 +1,13 @@
 /**
  * @file
- * Golden determinism: the ResidencyIndex fast path, the legacy
- * placement-sampling path, and the free-run sweep skip must all
- * produce bit-identical simulated results — the optimizations change
- * host time only. A pinned scenario matrix is run in every mode and
- * the full Result (elapsed ticks, phases, metric, instruction and
- * LLC-miss counts) compared field for field. Double runs of the same
- * mode pin plain determinism too.
+ * Golden determinism: simulated results are pinned fingerprints, so
+ * host-time optimizations are held to them instead of to a retained
+ * copy of the code they replaced. A pinned scenario matrix and a
+ * two-VM DRF run compare the full Result (elapsed ticks, phases,
+ * metric, instruction and LLC-miss counts) field for field against
+ * fingerprints captured before each optimization landed. Double runs
+ * pin plain determinism, and profiled / xrayed runs pin that the
+ * telemetry layers observe without perturbing.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "policy/vmm_exclusive.hh"
 #include "prof/report.hh"
 #include "vmm/drf.hh"
 #include "workload/apps.hh"
@@ -109,45 +109,47 @@ TEST(GoldenDeterminism, SoaPageMetadataMatchesPreSoaStruct)
     }
 }
 
-TEST(GoldenDeterminism, BalloonPeekCommitIsBitIdentical)
+TEST(GoldenDeterminism, TwoVmDrfMatchesPinnedFingerprint)
 {
-    // The lazy-reversal unpopulated stack (peek/commit) must grant
-    // the same gpfns in the same order as the take/return protocol
-    // it replaced. Ballooning only churns under overcommit, so this
-    // runs the two-VM DRF configuration both ways.
-    auto runPair = [&](bool legacy) {
-        core::HostConfig host;
-        host.fast = mem::dramSpec(24 * mem::mib);
-        host.slow = mem::defaultSlowMemSpec(96 * mem::mib);
-        core::HeteroSystem sys(host);
-        sys.setLegacyBalloonPath(legacy);
-        sys.vmm().setFairness(std::make_unique<vmm::DrfFairness>());
+    // Ballooning only churns under overcommit, so this pins the two-VM
+    // DRF configuration: balloon grant order, DRF arbitration and
+    // lockstep interleaving. Captured at the commit before the
+    // take/return balloon protocol and the residency index were
+    // deleted, when both balloon paths produced this same string.
+    const char *pinned =
+        "GraphChi|207661524|8|0.20766152399999999|time(sec)"
+        "|240000000|868448|3.6185333333333332;"
+        "Metis|786383797|4|0.78638379700000005|time(sec)"
+        "|152000000|1563136|10.283789473684211;";
 
-        core::GuestSizing g;
-        g.name = "graphchi-vm";
-        g.fast_max = 24 * mem::mib;
-        g.fast_initial = 8 * mem::mib;
-        g.slow_max = 96 * mem::mib;
-        g.slow_initial = 48 * mem::mib;
-        core::GuestSizing m = g;
-        m.name = "metis-vm";
-        m.fast_initial = 16 * mem::mib;
-        m.seed = 7;
+    core::HostConfig host;
+    host.fast = mem::dramSpec(24 * mem::mib);
+    host.slow = mem::defaultSlowMemSpec(96 * mem::mib);
+    core::HeteroSystem sys(host);
+    sys.vmm().setFairness(std::make_unique<vmm::DrfFairness>());
 
-        auto &g_slot = sys.addVm(
-            core::makePolicy(core::Approach::Coordinated), g);
-        auto &m_slot = sys.addVm(
-            core::makePolicy(core::Approach::Coordinated), m);
-        const auto results = sys.runMany(
-            {{&g_slot, workload::makeGraphchiTwitter(0.02)},
-             {&m_slot, workload::makeMetisLarge(0.02)}});
-        std::string f;
-        for (const auto &r : results)
-            f += fingerprint(r) + ";";
-        return f;
-    };
-    EXPECT_EQ(runPair(false), runPair(true))
-        << "peek/commit balloon path diverges from take/return";
+    core::GuestSizing g;
+    g.name = "graphchi-vm";
+    g.fast_max = 24 * mem::mib;
+    g.fast_initial = 8 * mem::mib;
+    g.slow_max = 96 * mem::mib;
+    g.slow_initial = 48 * mem::mib;
+    core::GuestSizing m = g;
+    m.name = "metis-vm";
+    m.fast_initial = 16 * mem::mib;
+    m.seed = 7;
+
+    auto &g_slot =
+        sys.addVm(core::makePolicy(core::Approach::Coordinated), g);
+    auto &m_slot =
+        sys.addVm(core::makePolicy(core::Approach::Coordinated), m);
+    const auto results =
+        sys.runMany({{&g_slot, workload::makeGraphchiTwitter(0.02)},
+                     {&m_slot, workload::makeMetisLarge(0.02)}});
+    std::string f;
+    for (const auto &r : results)
+        f += fingerprint(r) + ";";
+    EXPECT_EQ(f, pinned) << "two-VM DRF run diverged from its pin";
 }
 
 TEST(GoldenDeterminism, SameScenarioTwiceIsBitIdentical)
@@ -157,19 +159,6 @@ TEST(GoldenDeterminism, SameScenarioTwiceIsBitIdentical)
         const auto second = core::run(s);
         EXPECT_EQ(fingerprint(first), fingerprint(second))
             << "non-deterministic: " << s.label();
-    }
-}
-
-TEST(GoldenDeterminism, LegacySamplingIsBitIdentical)
-{
-    for (const core::Scenario &s : goldenMatrix()) {
-        const auto optimized = core::run(s);
-        core::Scenario legacy = s;
-        legacy.withLegacySampling(true);
-        const auto sampled = core::run(legacy);
-        EXPECT_EQ(fingerprint(optimized), fingerprint(sampled))
-            << "residency index diverges from legacy sampling: "
-            << s.label();
     }
 }
 
@@ -236,29 +225,6 @@ TEST(GoldenDeterminism, XrayIsBitIdentical)
         EXPECT_EQ(first.second, second.second)
             << "xray report non-deterministic: " << s.label();
     }
-}
-
-TEST(GoldenDeterminism, FreeRunSkipIsBitIdentical)
-{
-    // The sweep's free-run skip only matters under full-VM scanning
-    // (VMM-exclusive); compare a hand-assembled system with the skip
-    // on against one probing every descriptor.
-    const core::Scenario s =
-        goldenMatrix()[1]; // the VmmExclusive entry
-    ASSERT_EQ(s.approach, core::Approach::VmmExclusive);
-    const auto factory = workload::makeApp(s.app, s.scale);
-
-    auto runWith = [&](bool skip) {
-        core::HeteroSystem sys(s.host());
-        vmm::HotnessConfig hotness;
-        hotness.free_run_skip = skip;
-        auto &slot = sys.addVm(
-            std::make_unique<policy::VmmExclusivePolicy>(hotness),
-            s.sizing());
-        return sys.runOne(slot, factory);
-    };
-    EXPECT_EQ(fingerprint(runWith(true)), fingerprint(runWith(false)))
-        << "free-run skip changed the simulated sweep";
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Pluggable hotness backends: region-tracker invariants (bounded
  * count, full coverage, no overlap), the flat-cost sampling property,
  * split/merge adaptation, backend selection through the Scenario
- * hotness spec (JSON round-trip, deprecated loose keys, sweep axes),
+ * hotness spec (JSON round-trip, rejected loose keys, sweep axes),
  * and region-backend determinism.
  */
 
@@ -290,7 +290,6 @@ TEST(HotnessSpec, ScenarioJsonRoundTrip)
     spec.hot_threshold = 80;
     spec.region_max = 128;
     spec.region_split_threshold = 0.5;
-    spec.legacy_placement_sampling = true;
     const core::Scenario s = core::Scenario{}.withHotness(spec);
 
     const std::string json = core::scenarioToJson(s);
@@ -306,7 +305,6 @@ TEST(HotnessSpec, ScenarioJsonRoundTrip)
     EXPECT_EQ(parsed->hotness.region_max, 128u);
     ASSERT_TRUE(parsed->hotness.region_split_threshold.has_value());
     EXPECT_DOUBLE_EQ(*parsed->hotness.region_split_threshold, 0.5);
-    EXPECT_TRUE(parsed->hotness.legacy_placement_sampling);
     // Unset knobs stay unset (so approach defaults still apply).
     EXPECT_FALSE(parsed->hotness.pages_per_scan.has_value());
     EXPECT_FALSE(parsed->hotness.adaptive.has_value());
@@ -332,33 +330,49 @@ TEST(HotnessSpec, SweepAxisKeysAndDeprecatedShims)
     EXPECT_FALSE(
         core::applyScenarioParam(s, "hotness.bogus", "1", &err));
 
-    // Deprecated loose keys still parse, into the structured spec.
-    // This block deliberately exercises the compatibility shims.
+    // The pre-`hotness` loose spellings are gone: each one, and the
+    // top-level spellings of the two deleted knobs, is an unknown
+    // scenario key and leaves the spec untouched.
+    const char *const retired[] = {
+        // hos-analyze: loose-hotness-key (rejection under test)
+        "interval",
+        // hos-analyze: loose-hotness-key (rejection under test)
+        "pages_per_scan",
+        // hos-analyze: loose-hotness-key (rejection under test)
+        "hot_threshold",
+        // hos-analyze: loose-hotness-key (rejection under test)
+        "adaptive",
+        "free_run_skip",
+        "legacy_placement_sampling",
+    };
     core::Scenario old;
-    EXPECT_TRUE(core::applyScenarioParam(
-        // hos-analyze: loose-hotness-key (shim under test)
-        old, "legacy_placement_sampling", "1", &err));
-    EXPECT_TRUE(old.hotness.legacy_placement_sampling);
-    // hos-analyze: loose-hotness-key (shim under test)
-    EXPECT_TRUE(core::applyScenarioParam(old, "interval", "75", &err));
-    ASSERT_TRUE(old.hotness.interval_ms.has_value());
-    EXPECT_DOUBLE_EQ(*old.hotness.interval_ms, 75.0);
-    EXPECT_TRUE(
-        // hos-analyze: loose-hotness-key (shim under test)
-        core::applyScenarioParam(old, "hot_threshold", "90", &err));
-    EXPECT_EQ(old.hotness.hot_threshold, 90u);
-    // hos-analyze: loose-hotness-key (shim under test)
-    EXPECT_TRUE(core::applyScenarioParam(old, "adaptive", "true", &err));
-    EXPECT_EQ(old.hotness.adaptive, true);
+    for (const char *key : retired) {
+        for (const char *value : {"1", "true"}) {
+            err.clear();
+            EXPECT_FALSE(core::applyScenarioParam(old, key, value, &err))
+                << key << "=" << value;
+            EXPECT_EQ(err,
+                      std::string("unknown scenario key '") + key + "'");
+        }
+    }
+    EXPECT_TRUE(old.hotness.isDefault());
+    EXPECT_FALSE(core::applyScenarioParam(
+        old, "hotness.free_run_skip", "true", &err));
+    EXPECT_EQ(err, "unknown hotness key 'free_run_skip'");
+    // A known key still reports the bad value itself.
+    EXPECT_FALSE(core::applyScenarioParam(old, "hotness.interval_ms",
+                                          "soon", &err));
+    EXPECT_EQ(err, "bad value 'soon' for 'hotness.interval_ms'");
+    EXPECT_FALSE(core::applyScenarioParam(old, "seed", "soon", &err));
+    EXPECT_EQ(err, "bad value 'soon' for 'seed'");
 
-    // And the old top-level JSON shape still loads.
+    // And the old top-level JSON shape no longer loads.
     const auto doc = sim::jsonParse(
-        // hos-analyze: loose-hotness-key (old JSON shape under test)
         R"({"app": "graphchi", "legacy_placement_sampling": true})");
     ASSERT_TRUE(doc.has_value());
-    const auto parsed = core::scenarioFromJson(*doc, &err);
-    ASSERT_TRUE(parsed.has_value()) << err;
-    EXPECT_TRUE(parsed->hotness.legacy_placement_sampling);
+    err.clear();
+    EXPECT_FALSE(core::scenarioFromJson(*doc, &err).has_value());
+    EXPECT_EQ(err, "unknown scenario key 'legacy_placement_sampling'");
 }
 
 TEST(HotnessSpec, RegionBackendRunsDeterministically)

@@ -2,8 +2,8 @@
  * @file
  * hos::xray: the placement-quality shadow must agree with ground
  * truth exactly. Each test pins one leg of the reconciliation:
- * per-page tier shadows are the exact complement partner of the
- * ResidencyIndex fast bits, the golden-matrix aggregates survive the
+ * per-page tier shadows match the kernel's placement oracle across a
+ * migration, the golden-matrix aggregates survive the
  * exhaustive check::auditXray walk, decision provenance carries the
  * engine's real inputs, the audit catches seeded corruption, and the
  * report round-trips through its JSON form byte-for-byte.
@@ -17,7 +17,6 @@
 
 #include "check/auditors.hh"
 #include "core/experiment.hh"
-#include "guestos/residency.hh"
 #include "xray/report.hh"
 #include "xray/xray.hh"
 
@@ -59,14 +58,14 @@ seedShadow(xray::Recorder &rec, guestos::GuestKernel &kernel)
     }
 }
 
-TEST(Xray, ShadowIsComplementOfResidencyFastBits)
+TEST(Xray, ShadowTierMatchesKernelBackingAfterMigration)
 {
-    // The ResidencyIndex tracks "is this binding FastMem-backed" per
-    // region index; xray tracks "which tier is this gpfn in" per
-    // page. Over the same pages the two views must be exact
-    // complements: fastBit set iff the shadow tier is the fast tier,
-    // and the region's fast fraction is one minus the misplaced
-    // fraction with no rounding slack.
+    // xray tracks "which tier is this gpfn in" per page; the kernel's
+    // placement oracle (backingOf) is the ground truth. After a
+    // migration remaps part of a region, the two must agree page for
+    // page over the frames the region's page table now maps, and the
+    // region's fast fraction is one minus the misplaced fraction with
+    // no rounding slack.
     if (!xray::xrayCompiled)
         GTEST_SKIP() << "hooks compiled out (HOS_XRAY=off)";
     auto kernel = test::standaloneGuest(16 * mem::mib, 64 * mem::mib);
@@ -82,40 +81,36 @@ TEST(Xray, ShadowIsComplementOfResidencyFastBits)
     const std::uint64_t va =
         as.mmap(n * mem::pageSize, guestos::VmaKind::Anon,
                 guestos::MemHint::SlowMem);
-    const auto region =
-        kernel->residency().registerRegion(as.pid(), va);
     std::vector<Gpfn> pfns;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Gpfn pfn = as.touch(va + i * mem::pageSize, true);
-        pfns.push_back(pfn);
-        kernel->residency().appendPage(region, pfn);
-    }
+    for (std::uint64_t i = 0; i < n; ++i)
+        pfns.push_back(as.touch(va + i * mem::pageSize, true));
 
-    // Mixed placement: promote a third so both views have both kinds.
+    // Mixed placement: promote a third so both tiers are present.
     std::vector<Gpfn> some(pfns.begin(), pfns.begin() + 21);
     ASSERT_EQ(kernel->migrator()
                   .migratePages(some, mem::MemType::FastMem)
                   .migrated,
               21u);
 
-    auto &res = kernel->residency();
-    std::uint64_t fast_bits = 0;
+    std::uint64_t backing_fast = 0;
     std::uint64_t shadow_fast = 0;
-    for (std::uint64_t i = 0; i < res.pageCount(region); ++i) {
-        const Gpfn pfn = res.binding(region, i);
-        const bool bit = res.fastBit(region, i);
-        ASSERT_TRUE(rec.live(0, pfn)) << "gpfn " << pfn;
-        EXPECT_EQ(bit, rec.shadowTier(0, pfn) == xray::fastTier)
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const auto pfn = as.translate(va + i * mem::pageSize);
+        ASSERT_TRUE(pfn.has_value()) << "region index " << i;
+        ASSERT_TRUE(rec.live(0, *pfn)) << "gpfn " << *pfn;
+        const bool fast =
+            kernel->backingOf(*pfn) == mem::MemType::FastMem;
+        const bool shadow = rec.shadowTier(0, *pfn) == xray::fastTier;
+        EXPECT_EQ(fast, shadow)
             << "views disagree at region index " << i;
-        fast_bits += bit ? 1 : 0;
-        shadow_fast += rec.shadowTier(0, pfn) == xray::fastTier;
+        backing_fast += fast ? 1 : 0;
+        shadow_fast += shadow ? 1 : 0;
     }
-    EXPECT_EQ(fast_bits, res.fastTotal(region));
+    EXPECT_EQ(backing_fast, 21u);
+    EXPECT_EQ(shadow_fast, backing_fast);
     // Exact complement: fast + misplaced = every region page.
-    EXPECT_EQ(res.fastTotal(region) + (n - shadow_fast), n);
     const double fast_frac =
-        static_cast<double>(res.fastTotal(region)) /
-        static_cast<double>(n);
+        static_cast<double>(backing_fast) / static_cast<double>(n);
     const double misplaced_frac =
         static_cast<double>(n - shadow_fast) / static_cast<double>(n);
     EXPECT_EQ(fast_frac, 1.0 - misplaced_frac);

@@ -35,13 +35,11 @@ struct LooseKey {
     const char *key;
     const char *structured;
 };
-const std::array<LooseKey, 6> kLooseKeys = {{
+const std::array<LooseKey, 4> kLooseKeys = {{
     {"interval", "hotness.interval_ms"},
     {"pages_per_scan", "hotness.pages_per_scan"},
     {"hot_threshold", "hotness.hot_threshold"},
     {"adaptive", "hotness.adaptive"},
-    {"free_run_skip", "hotness.free_run_skip"},
-    {"legacy_placement_sampling", "hotness.legacy_placement_sampling"},
 }};
 
 const std::array<const char *, 4> kRetiredApis = {"RunSpec", "runApp",
@@ -958,8 +956,8 @@ class FileAnalysis
             for (const LooseKey &lk : kLooseKeys) {
                 if (looseKeyInLiteral(tok.text, lk.key)) {
                     emit("loose-hotness-key", tok,
-                         std::string("deprecated loose hotness key '") +
-                             lk.key + "'; use the structured '" +
+                         std::string("loose hotness key '") + lk.key +
+                             "' is rejected; use the structured '" +
                              lk.structured + "' spelling");
                     break;
                 }

@@ -25,7 +25,7 @@
  *                    metrics::active() observation blocks
  *
  * Hygiene (API lifecycle):
- *   loose-hotness-key deprecated loose hotness keys in scenario
+ *   loose-hotness-key retired loose hotness keys in scenario
  *                     literals (tests/bench/examples)
  *   retired-api      retired pre-Scenario API names anywhere
  *   soa-field-write  page-metadata writes bypassing the PageRef

@@ -5,13 +5,10 @@ Reads a hos-selfperf-2 summary (BENCH_selfperf.json) whose `history`
 array carries the previous record — seed the bench's output path with
 the checked-in summary before running bench_selfperf, and its
 history-append behavior preserves the prior top level — then compares
-each optimized run's sim_ns_per_host_s (simulated nanoseconds advanced
+each run's sim_ns_per_host_s (simulated nanoseconds advanced
 per host second; higher is better) against the most recent history
 record that measured the same run. A drop beyond the threshold
 (default 15%) fails the gate.
-
-Legacy cross-check runs (`<name>/legacy`) are exempt: they pin the
-pre-optimization implementation, whose cost is not a product property.
 
 Usage: selfperf_gate.py [summary.json] [--threshold=0.15]
 """
@@ -44,7 +41,7 @@ def main(argv):
     regressions = []
     compared = 0
     for name, run in summary.get("runs", {}).items():
-        if name.endswith("/legacy") or name not in prev:
+        if name not in prev:
             continue
         before = prev[name].get("sim_ns_per_host_s", 0.0)
         after = run.get("sim_ns_per_host_s", 0.0)
