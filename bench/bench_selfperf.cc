@@ -262,6 +262,8 @@ writeJson(const SelfperfReporter &rep, const char *path)
     sim::JsonWriter w(os);
     w.beginObject();
     w.kv("schema", "hos-selfperf-2");
+    // The gate compares only records measured at the same scale.
+    w.kv("scale", bench::benchScale());
     w.key("runs");
     w.beginObject();
     for (const auto &[name, run] : rep.runs()) {

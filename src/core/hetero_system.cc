@@ -268,6 +268,9 @@ HeteroSystem::seedXray(VmSlot &slot)
     const std::uint16_t vm = kernel.vmTag();
     const sim::Tick now = kernel.events().now();
     auto &pages = kernel.pages();
+    // One allocation for the whole gpfn space: no hook grows the
+    // shadow mid-run.
+    xray_.sizeShadow(vm, pages.size());
     for (std::uint64_t pfn = 0; pfn < pages.size(); ++pfn) {
         if (!pages.page(pfn).allocated())
             continue;

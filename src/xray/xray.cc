@@ -146,6 +146,41 @@ Recorder::shadow(VmState &s, std::uint64_t gpfn)
     return s.pages[gpfn];
 }
 
+void
+Recorder::sizeShadow(std::uint16_t vm, std::uint64_t num_pages)
+{
+    VmState &s = vmState(vm);
+    if (num_pages > s.pages.size())
+        s.pages.resize(num_pages);
+}
+
+Recorder::PageClock *
+Recorder::PageClocks::find(std::uint64_t gpfn)
+{
+    const std::uint64_t chunk = gpfn / chunkPages;
+    if (chunk >= chunks_.size() || !chunks_[chunk])
+        return nullptr;
+    return &chunks_[chunk][gpfn % chunkPages];
+}
+
+Recorder::PageClock &
+Recorder::PageClocks::at(std::uint64_t gpfn)
+{
+    const std::uint64_t chunk = gpfn / chunkPages;
+    if (chunk >= chunks_.size())
+        chunks_.resize(chunk + 1);
+    if (!chunks_[chunk])
+        chunks_[chunk] = std::make_unique<PageClock[]>(chunkPages);
+    return chunks_[chunk][gpfn % chunkPages];
+}
+
+void
+Recorder::PageClocks::reset(std::uint64_t gpfn)
+{
+    if (PageClock *c = find(gpfn))
+        *c = PageClock{};
+}
+
 bool
 Recorder::ringEligible(std::uint64_t gpfn) const
 {
@@ -233,9 +268,9 @@ lagBucket(std::uint64_t lag_ns)
 
 void
 Recorder::recordMove(VmState &s, std::uint16_t vm, std::uint64_t gpfn,
-                     PageShadow &p, std::uint8_t from, std::uint8_t to,
-                     std::uint16_t heat, std::uint32_t rank,
-                     sim::Tick now)
+                     bool hot, PageClock &c, std::uint8_t from,
+                     std::uint8_t to, std::uint16_t heat,
+                     std::uint32_t rank, sim::Tick now)
 {
     const bool promote = tierRank(to) < tierRank(from);
     const EventKind kind =
@@ -244,34 +279,34 @@ Recorder::recordMove(VmState &s, std::uint16_t vm, std::uint64_t gpfn,
 
     std::uint64_t lag = 0;
     if (promote) {
-        if (p.hot_since != 0) {
-            lag = now - p.hot_since;
+        if (c.hot_since != 0) {
+            lag = now - c.hot_since;
             ++s.promote_lag[lagBucket(lag)];
-            p.hot_since = 0;
+            c.hot_since = 0;
         }
     } else {
-        if (p.cold_since != 0) {
-            lag = now - p.cold_since;
+        if (c.cold_since != 0) {
+            lag = now - c.cold_since;
             ++s.demote_lag[lagBucket(lag)];
-            p.cold_since = 0;
+            c.cold_since = 0;
         }
         // A hot page forced down a tier restarts its promotion clock:
         // it is misplaced again from this instant.
-        if (p.hot)
-            p.hot_since = now;
+        if (hot)
+            c.hot_since = now;
     }
 
     const std::int8_t dir = promote ? 1 : -1;
-    if (p.last_dir == -dir && p.last_move != 0 &&
-        now - p.last_move <= cfg_.pingpong_window) {
+    if (c.last_dir == -dir && c.last_move != 0 &&
+        now - c.last_move <= cfg_.pingpong_window) {
         ++s.pingpong_events;
-        if (++p.bounces == 1)
+        if (++c.bounces == 1)
             ++s.pingpong_pages;
         trace::emit(trace::EventType::XrayPingPong, now, gpfn,
-                    p.bounces, now - p.last_move, 0, vm);
+                    c.bounces, now - c.last_move, 0, vm);
     }
-    p.last_dir = dir;
-    p.last_move = now;
+    c.last_dir = dir;
+    c.last_move = now;
 
     Event e;
     e.tick = now;
@@ -282,7 +317,7 @@ Recorder::recordMove(VmState &s, std::uint16_t vm, std::uint64_t gpfn,
     e.threshold = s.threshold;
     e.rank = rank;
     e.a0 = lag;
-    e.a1 = p.bounces;
+    e.a1 = c.bounces;
     pageRecord(s, gpfn, e);
     trace::emit(trace::EventType::XrayMove, now,
                 static_cast<std::uint64_t>(kind), gpfn, heat, 0, vm);
@@ -301,8 +336,10 @@ Recorder::onAlloc(std::uint16_t vm, std::uint64_t gpfn,
     p.heat = 0; // a fresh frame never carries its old life's heat
     p.hot = false;
     p.tier = tier;
-    p.hot_since = 0;
-    p.cold_since = 0;
+    if (PageClock *c = s.clocks.find(gpfn)) {
+        c->hot_since = 0;
+        c->cold_since = 0;
+    }
     ++s.tier_pages[tier];
     ++s.kind_counts[static_cast<std::size_t>(EventKind::Alloc)];
 
@@ -340,7 +377,8 @@ Recorder::onFree(std::uint16_t vm, std::uint64_t gpfn, sim::Tick now)
     e.threshold = s->threshold;
     pageRecord(*s, gpfn, e);
 
-    p = PageShadow{}; // tier = noTier; bounce identity dies with it
+    p = PageShadow{}; // tier = noTier
+    s->clocks.reset(gpfn); // bounce identity dies with the frame
 }
 
 void
@@ -361,10 +399,13 @@ Recorder::onHeat(std::uint16_t vm, std::uint64_t gpfn,
         ++s.kind_counts[static_cast<std::size_t>(EventKind::HotCross)];
         // Promotion-lag clock: starts when a page first needs to be
         // in the fast tier but is not.
-        if (p.tier != fastTier && p.hot_since == 0)
-            p.hot_since = now;
-        if (p.tier == fastTier)
-            p.cold_since = 0;
+        if (p.tier != fastTier) {
+            PageClock &c = s.clocks.at(gpfn);
+            if (c.hot_since == 0)
+                c.hot_since = now;
+        } else if (PageClock *c = s.clocks.find(gpfn)) {
+            c->cold_since = 0;
+        }
         Event e;
         e.tick = now;
         e.kind = EventKind::HotCross;
@@ -377,11 +418,16 @@ Recorder::onHeat(std::uint16_t vm, std::uint64_t gpfn,
                     threshold, 0, vm);
     } else if (was_hot && !p.hot) {
         ++s.kind_counts[static_cast<std::size_t>(EventKind::Cooled)];
-        p.hot_since = 0; // the promotion need expired
         // Demotion-lag clock: a fast page that went cold is now the
         // one the LRU should be pushing down.
-        if (p.tier == fastTier && p.cold_since == 0)
-            p.cold_since = now;
+        if (p.tier == fastTier) {
+            PageClock &c = s.clocks.at(gpfn);
+            c.hot_since = 0; // the promotion need expired
+            if (c.cold_since == 0)
+                c.cold_since = now;
+        } else if (PageClock *c = s.clocks.find(gpfn)) {
+            c->hot_since = 0;
+        }
         Event e;
         e.tick = now;
         e.kind = EventKind::Cooled;
@@ -410,7 +456,8 @@ Recorder::onTierChange(std::uint16_t vm, std::uint64_t gpfn,
         return; // populate/unpopulate of free frames, or no-op retarget
     const std::uint8_t from = p.tier;
     moveTier(s, p, tier);
-    recordMove(s, vm, gpfn, p, from, tier, p.heat, rank, now);
+    recordMove(s, vm, gpfn, p.hot, s.clocks.at(gpfn), from, tier, p.heat,
+               rank, now);
 }
 
 void
@@ -424,29 +471,26 @@ Recorder::onGuestMove(std::uint16_t vm, std::uint64_t old_gpfn,
     VmState &s = vms_[vm];
     if (old_gpfn >= s.pages.size())
         return;
-    PageShadow &old_p = s.pages[old_gpfn];
-    if (old_p.tier == noTier)
+    const std::uint8_t from = s.pages[old_gpfn].tier;
+    if (from == noTier)
         return;
-    PageShadow &new_p = shadow(s, new_gpfn);
+    const PageShadow &new_p = shadow(s, new_gpfn);
     if (new_p.tier == noTier)
         return; // onAlloc for the new frame must have fired already
-    const std::uint8_t from = old_p.tier;
     if (from == to_tier)
         return;
     // The logical page keeps its lag clocks and bounce identity even
     // though the backing frame changed; the old frame's shadow is
     // cleared by the onFree that follows the migration.
-    new_p.hot_since = old_p.hot_since;
-    new_p.cold_since = old_p.cold_since;
-    new_p.last_move = old_p.last_move;
-    new_p.last_dir = old_p.last_dir;
-    new_p.bounces = old_p.bounces;
-    old_p.hot_since = 0;
-    old_p.cold_since = 0;
-    old_p.last_move = 0;
-    old_p.last_dir = 0;
-    old_p.bounces = 0;
-    recordMove(s, vm, new_gpfn, new_p, from, to_tier, heat, rank, now);
+    PageClock &new_c = s.clocks.at(new_gpfn);
+    if (PageClock *old_c = s.clocks.find(old_gpfn)) {
+        new_c = *old_c;
+        *old_c = PageClock{};
+    } else {
+        new_c = PageClock{};
+    }
+    recordMove(s, vm, new_gpfn, new_p.hot, new_c, from, to_tier, heat,
+               rank, now);
 }
 
 void

@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -250,6 +251,13 @@ class Recorder
     void onVmEvent(std::uint16_t vm, EventKind kind, std::uint32_t rank,
                    std::uint64_t a0, std::uint64_t a1, sim::Tick now);
 
+    /**
+     * Size `vm`'s page shadow for `num_pages` gpfns up front, so no
+     * hook reallocates it mid-run. Hooks still grow the shadow for
+     * gpfns past the seeded size.
+     */
+    void sizeShadow(std::uint16_t vm, std::uint64_t num_pages);
+
     // --- Queries (audit and tests) --------------------------------
 
     std::size_t numVms() const { return vms_.size(); }
@@ -282,16 +290,45 @@ class Recorder
     XrayReport report() const;
 
   private:
+    /** Dense per-gpfn state: what every hook and the audit read. */
     struct PageShadow
     {
         std::uint16_t heat = 0;
         std::uint8_t tier = noTier; ///< noTier = not live
         bool hot = false;
+    };
+    static_assert(sizeof(PageShadow) == 4, "page shadow grew past 4 bytes");
+
+    /** Lag and ping-pong state of one page; all zero = idle. */
+    struct PageClock
+    {
         sim::Tick hot_since = 0;  ///< hot-in-slow clock (0 = idle)
         sim::Tick cold_since = 0; ///< cold-in-fast clock (0 = idle)
         sim::Tick last_move = 0;
         std::int8_t last_dir = 0; ///< +1 promote, -1 demote
         std::uint32_t bounces = 0;
+    };
+
+    /**
+     * Per-VM clock table in fixed chunks of gpfns. Most pages never
+     * run a clock, so a chunk is allocated only when one of its pages
+     * first needs a non-zero clock; a missing chunk reads as all-zero
+     * clocks. Chunks never move once allocated.
+     */
+    class PageClocks
+    {
+      public:
+        static constexpr std::uint64_t chunkPages = 4096;
+
+        /** The page's clocks, or nullptr when its chunk is absent. */
+        PageClock *find(std::uint64_t gpfn);
+        /** The page's clocks, allocating its chunk on first use. */
+        PageClock &at(std::uint64_t gpfn);
+        /** Zero the page's clocks where its chunk exists. */
+        void reset(std::uint64_t gpfn);
+
+      private:
+        std::vector<std::unique_ptr<PageClock[]>> chunks_;
     };
 
     struct Ring
@@ -306,6 +343,7 @@ class Recorder
     {
         std::uint16_t threshold = 96; ///< last seen hot_threshold
         std::vector<PageShadow> pages;
+        PageClocks clocks;
         std::uint64_t tier_pages[numTiers] = {};
         std::uint64_t tier_hot[numTiers] = {};
         std::uint64_t tier_heat_mass[numTiers] = {};
@@ -334,9 +372,9 @@ class Recorder
     void moveTier(VmState &s, PageShadow &p, std::uint8_t to);
     /** Lag + ping-pong + ring record for one completed move. */
     void recordMove(VmState &s, std::uint16_t vm, std::uint64_t gpfn,
-                    PageShadow &p, std::uint8_t from, std::uint8_t to,
-                    std::uint16_t heat, std::uint32_t rank,
-                    sim::Tick now);
+                    bool hot, PageClock &c, std::uint8_t from,
+                    std::uint8_t to, std::uint16_t heat,
+                    std::uint32_t rank, sim::Tick now);
 
     bool enabled_ = false;
     XrayConfig cfg_;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -277,6 +278,87 @@ TEST(Xray, ReportRoundTripsThroughJson)
     const auto parsed = xray::xrayReportFromJson(*doc, &error);
     EXPECT_TRUE(error.empty()) << error;
     EXPECT_EQ(serialize(parsed), json);
+}
+
+/** The run_experiment scenario `<app> <approach> <fast_ratio> <scale>`. */
+core::Scenario
+cliScenario(workload::AppId app, core::Approach approach, double ratio,
+            double scale)
+{
+    core::Scenario s;
+    s.app = app;
+    s.approach = approach;
+    s.scale = scale;
+    s.slow_bytes = static_cast<std::uint64_t>(
+        scale * 8.0 * static_cast<double>(mem::gib));
+    s.fast_bytes = static_cast<std::uint64_t>(
+        static_cast<double>(s.slow_bytes) * ratio);
+    s.xray = true;
+    return s;
+}
+
+/** FNV-1a of `text`, as 16 hex digits. */
+std::string
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(Xray, ReportMatchesPinnedFingerprint)
+{
+    // The serialized report of two scenarios, pinned so a change to
+    // the shadow's layout is held to the exact aggregates, lag
+    // histograms, ping-pong counts and rings of the code before it.
+    // graphchi/vmm drives VMM-side tier changes (onTierChange);
+    // xstream/coord drives guest-side moves (onGuestMove), whose lag
+    // clocks and bounce identity follow the page to its new gpfn.
+    // Hashes captured before the shadow was split into a dense
+    // 4-byte array and a lazy clock table. Ring contents depend on
+    // the compiled level's sampling.
+    if (xray::compiledLevel != 1)
+        GTEST_SKIP() << "pinned at HOS_XRAY=sampled";
+    struct Pin
+    {
+        workload::AppId app;
+        core::Approach approach;
+        const char *hash;
+    };
+    for (const Pin &pin :
+         {Pin{workload::AppId::GraphChi, core::Approach::VmmExclusive,
+              "ae2a8a8d2d4e35af"},
+          Pin{workload::AppId::XStream, core::Approach::Coordinated,
+              "8de4b74fec5eab53"}}) {
+        const core::Scenario s =
+            cliScenario(pin.app, pin.approach, 0.25, 0.1);
+        auto sys = core::systemFor(s);
+        sys->runOne(sys->slot(0), workload::makeApp(s.app, s.scale));
+        const auto report = sys->xrayRecorder().report();
+        ASSERT_EQ(report.vms.size(), 1u) << s.label();
+        const auto &vm = report.vms.front();
+        // The pin must keep exercising the clock table.
+        EXPECT_GT(vm.pingpong_events, 0u) << s.label();
+        EXPECT_FALSE(vm.promote_lag.empty()) << s.label();
+        if (pin.approach == core::Approach::VmmExclusive) {
+            EXPECT_FALSE(vm.demote_lag.empty()) << s.label();
+        }
+
+        std::ostringstream os;
+        sim::JsonWriter w(os);
+        xray::writeXrayReport(w, report);
+        EXPECT_EQ(fnv1a(os.str()), pin.hash)
+            << s.label() << ": promotes "
+            << vm.count(xray::EventKind::Promote) << ", demotes "
+            << vm.count(xray::EventKind::Demote) << ", ping-pongs "
+            << vm.pingpong_events;
+    }
 }
 
 TEST(Xray, InactiveRecorderSeesNothing)

@@ -7,14 +7,26 @@ the checked-in summary before running bench_selfperf, and its
 history-append behavior preserves the prior top level — then compares
 each run's sim_ns_per_host_s (simulated nanoseconds advanced
 per host second; higher is better) against the most recent history
-record that measured the same run. A drop beyond the threshold
-(default 15%) fails the gate.
+record measured at the same HOS_BENCH_SCALE. Simulated time per host
+second falls with scale, so records at another scale are never
+compared. A record without a `scale` field predates it and was
+measured at the default 0.3. A drop beyond the threshold (default 15%)
+fails the gate, and so does the absence of any like-scale record: the
+gate never passes without comparing.
 
 Usage: selfperf_gate.py [summary.json] [--threshold=0.15]
 """
 
 import json
 import sys
+
+# bench_selfperf's scale when HOS_BENCH_SCALE is unset; records that
+# predate the `scale` field were measured at it.
+DEFAULT_SCALE = 0.3
+
+
+def scale_of(record):
+    return float(record.get("scale", DEFAULT_SCALE))
 
 
 def main(argv):
@@ -32,11 +44,20 @@ def main(argv):
         print(f"selfperf-gate: unexpected schema {summary.get('schema')!r}")
         return 1
 
+    scale = scale_of(summary)
     history = [r for r in summary.get("history", []) if "runs" in r]
     if not history:
-        print("selfperf-gate: no prior record in history; nothing to gate")
-        return 0
-    prev = history[-1]["runs"]
+        print("selfperf-gate: FAILED, no prior record in history; seed the "
+              "output path with the checked-in summary before the run")
+        return 1
+    like = [r for r in history if abs(scale_of(r) - scale) < 1e-9]
+    if not like:
+        seen = sorted({scale_of(r) for r in history})
+        print(f"selfperf-gate: FAILED, no prior record at scale {scale:g} "
+              f"(history has scales {seen}); rerun bench_selfperf at a "
+              f"recorded scale")
+        return 1
+    prev = like[-1]["runs"]
 
     regressions = []
     compared = 0
@@ -56,14 +77,15 @@ def main(argv):
             regressions.append(name)
 
     if not compared:
-        print("selfperf-gate: prior record shares no runs; nothing to gate")
-        return 0
+        print(f"selfperf-gate: FAILED, the scale-{scale:g} record shares "
+              "no runs with the fresh summary")
+        return 1
     if regressions:
         print(f"selfperf-gate: FAILED, >{threshold:.0%} slower on: "
               + ", ".join(regressions))
         return 1
     print(f"selfperf-gate: passed ({compared} runs within "
-          f"{threshold:.0%} of the prior record)")
+          f"{threshold:.0%} of the prior scale-{scale:g} record)")
     return 0
 
 
