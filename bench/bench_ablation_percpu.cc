@@ -43,12 +43,11 @@ allocRate(bool use_percpu, std::uint64_t rounds)
         const unsigned cpu = r % kernel.config().cpus;
         const unsigned node = r & 1;
         for (int i = 0; i < 512; ++i) {
-            guestos::Gpfn pfn;
-            if (use_percpu) {
+            guestos::Gpfn pfn = guestos::invalidGpfn;
+            if (use_percpu)
                 pfn = kernel.percpu().alloc(cpu, kernel.node(node));
-            } else {
-                pfn = kernel.node(node).allocBlock(0);
-            }
+            else
+                kernel.node(node).allocBatch(1, &pfn);
             if (pfn != guestos::invalidGpfn)
                 held.push_back(pfn);
         }
@@ -56,7 +55,7 @@ allocRate(bool use_percpu, std::uint64_t rounds)
             if (use_percpu) {
                 kernel.percpu().free(cpu, kernel.nodeOf(pfn), pfn);
             } else {
-                kernel.nodeOf(pfn).freeBlock(pfn, 0);
+                kernel.nodeOf(pfn).freeBatch(&pfn, 1);
             }
         }
         held.clear();

@@ -2,13 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the hot data structures: the
  * buddy allocator, per-CPU lists, page-table map/scan, LRU churn,
- * and the slab allocator. These guard the simulator's own
+ * the slab allocator, and the region path's range fault-in and
+ * munmap. These guard the simulator's own
  * performance (the benches sweep thousands of runs).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "guestos/buddy_allocator.hh"
+#include "guestos/kernel.hh"
 #include "guestos/lru.hh"
 #include "guestos/page.hh"
 #include "guestos/page_table.hh"
@@ -38,6 +40,25 @@ BM_BuddyAllocFree(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 8192);
 }
 BENCHMARK(BM_BuddyAllocFree);
+
+void
+BM_BuddyBulkRefill(benchmark::State &state)
+{
+    // BM_BuddyAllocFree's traffic in per-CPU refill batches of 32:
+    // allocBatch hands out the same pfns as 32 alloc(0) calls without
+    // the split halves' insert/remove pairs.
+    PageArray pages(1 << 18);
+    BuddyAllocator buddy(pages, 0, 1 << 18);
+    buddy.addFreeRange(0, 1 << 18);
+    std::vector<Gpfn> held(4096);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < held.size(); i += 32)
+            buddy.allocBatch(32, held.data() + i);
+        buddy.freeBatch(held.data(), held.size());
+    }
+    state.SetItemsProcessed(state.iterations() * 8192);
+}
+BENCHMARK(BM_BuddyBulkRefill);
 
 void
 BM_BuddyOrderMix(benchmark::State &state)
@@ -202,5 +223,81 @@ BM_TimerWheelScheduleDispatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimerWheelScheduleDispatch);
+
+/**
+ * A HeteroOS-coordinated guest at hos-bench's scale (1229 MiB FastMem,
+ * 2458 MiB SlowMem) with its nodes populated directly, and the
+ * 12288-page region `coordinated` churns every phase.
+ */
+struct RegionGuest
+{
+    static constexpr std::uint64_t regionPages = 12288;
+    std::unique_ptr<GuestKernel> kernel;
+    AddressSpace *as = nullptr;
+    std::vector<Gpfn> out = std::vector<Gpfn>(regionPages);
+
+    RegionGuest()
+    {
+        GuestConfig cfg;
+        cfg.cpus = 2;
+        cfg.alloc = heapIoSlabOdConfig();
+        cfg.alloc.active_reclaim = true;
+        cfg.alloc.balloon_on_pressure = false;
+        cfg.nodes = {{mem::MemType::FastMem, 1229 * mem::mib, 1229 * mem::mib},
+                     {mem::MemType::SlowMem, 2458 * mem::mib,
+                      2458 * mem::mib}};
+        kernel = std::make_unique<GuestKernel>(cfg);
+        for (unsigned nid = 0; nid < kernel->numNodes(); ++nid) {
+            NumaNode &node = kernel->node(nid);
+            for (Gpfn pfn : kernel->takeUnpopulatedGpfns(
+                     nid, node.spanPages())) {
+                kernel->pageMeta(pfn).setPopulated(true);
+                node.zoneOf(pfn).buddy().addFreeRange(pfn, 1);
+            }
+            for (std::size_t zi = 0; zi < node.numZones(); ++zi)
+                node.zone(zi).updateWatermarks();
+        }
+        as = &kernel->createProcess("bench");
+    }
+
+    std::uint64_t
+    fault()
+    {
+        const std::uint64_t va =
+            as->mmap(regionPages * mem::pageSize, VmaKind::Anon);
+        as->touchRange(va, regionPages, true, out.data());
+        return va;
+    }
+};
+
+void
+BM_TouchRange(benchmark::State &state)
+{
+    RegionGuest g;
+    for (auto _ : state) {
+        const std::uint64_t va = g.fault();
+        state.PauseTiming();
+        g.as->munmap(va);
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * RegionGuest::regionPages);
+}
+// Every iteration maps fresh addresses (mmap never reuses them), so
+// the page table grows with the count: keep it fixed.
+BENCHMARK(BM_TouchRange)->Iterations(200);
+
+void
+BM_MunmapRange(benchmark::State &state)
+{
+    RegionGuest g;
+    for (auto _ : state) {
+        state.PauseTiming();
+        const std::uint64_t va = g.fault();
+        state.ResumeTiming();
+        g.as->munmap(va);
+    }
+    state.SetItemsProcessed(state.iterations() * RegionGuest::regionPages);
+}
+BENCHMARK(BM_MunmapRange)->Iterations(200);
 
 } // namespace

@@ -18,7 +18,7 @@ typeName(PageType t)
 } // namespace
 
 void
-validateAlloc(const PageRef &p, PageType to, const char *where)
+failAlloc(const PageRef &p, PageType to, const char *where)
 {
     if (!p.allocated()) {
         fail(CheckKind::PageState, p.pfn(), where,
@@ -50,7 +50,7 @@ validateAlloc(const PageRef &p, PageType to, const char *where)
 }
 
 void
-validateFree(const PageRef &p, const char *where)
+failFree(const PageRef &p, const char *where)
 {
     if (!p.allocated()) {
         fail(CheckKind::PageState, p.pfn(), where,
@@ -124,7 +124,7 @@ validatePlacement(const PageRef &p, const char *where)
 }
 
 void
-validateLruInsert(const PageRef &p, const char *where)
+failLruInsert(const PageRef &p, const char *where)
 {
     if (!p.allocated()) {
         fail(CheckKind::Lru, p.pfn(), where,

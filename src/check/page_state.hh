@@ -50,12 +50,41 @@ lruManagedType(guestos::PageType t)
            t == guestos::PageType::NetBuf;
 }
 
+// The three validators below run on every page the allocator hands
+// out or takes back, so their predicates are inline; the diagnosis
+// and report (the fail* functions) stay out of line.
+
+/** Diagnose and report a validateAlloc violation. */
+void failAlloc(const guestos::PageRef &p, guestos::PageType to,
+               const char *where);
+/** Diagnose and report a validateFree violation. */
+void failFree(const guestos::PageRef &p, const char *where);
+/** Diagnose and report a validateLruInsert violation. */
+void failLruInsert(const guestos::PageRef &p, const char *where);
+
 /** A page leaving the allocator fast path, about to become `to`. */
-void validateAlloc(const guestos::PageRef &p, guestos::PageType to,
-                   const char *where);
+inline void
+validateAlloc(const guestos::PageRef &p, guestos::PageType to,
+              const char *where)
+{
+    if (!p.allocated() || p.type() != guestos::PageType::Free ||
+        p.lru() != guestos::LruState::None ||
+        p.on_list() != guestos::listNone || p.in_buddy() ||
+        !legalTypeTransition(guestos::PageType::Free, to)) {
+        failAlloc(p, to, where);
+    }
+}
 
 /** A page entering the free path (must be live and off every list). */
-void validateFree(const guestos::PageRef &p, const char *where);
+inline void
+validateFree(const guestos::PageRef &p, const char *where)
+{
+    if (!p.allocated() || p.in_buddy() ||
+        p.lru() != guestos::LruState::None ||
+        p.on_list() != guestos::listNone || p.under_io()) {
+        failFree(p, where);
+    }
+}
 
 /** An in-place retype request (only legal through Free). */
 void validateTypeChange(const guestos::PageRef &p, guestos::PageType to,
@@ -69,7 +98,14 @@ void validateMigration(const guestos::PageRef &p, mem::MemType dst,
 void validatePlacement(const guestos::PageRef &p, const char *where);
 
 /** A page about to be inserted into a zone LRU. */
-void validateLruInsert(const guestos::PageRef &p, const char *where);
+inline void
+validateLruInsert(const guestos::PageRef &p, const char *where)
+{
+    if (!p.allocated() || !lruManagedType(p.type()) ||
+        p.lru() != guestos::LruState::None) {
+        failLruInsert(p, where);
+    }
+}
 
 } // namespace hos::check
 

@@ -51,22 +51,16 @@ AddressSpace::munmap(std::uint64_t start)
     hos_assert(it != vmas_.end(), "munmap of unknown VMA");
     Vma &vma = it->second;
 
-    std::vector<Gpfn> anon_released;
-    std::vector<Gpfn> file_released;
-    for (std::uint64_t va = vma.start; va < vma.end();
-         va += mem::pageSize) {
-        auto pfn = table_.unmap(va);
-        if (!pfn)
-            continue;
-        if (vma.kind == VmaKind::File)
-            file_released.push_back(*pfn);
-        else
-            anon_released.push_back(*pfn);
+    std::vector<Gpfn> released;
+    released.reserve(std::min(table_.mappedPages(),
+                              vma.length / mem::pageSize));
+    table_.unmapRange(vma.start, vma.length / mem::pageSize, released);
+    if (vma.kind == VmaKind::File) {
+        backing_.onUnmapRelease({}, released);
+    } else {
+        backing_.freeUserPages(released);
+        backing_.onUnmapRelease(released, {});
     }
-
-    for (Gpfn pfn : anon_released)
-        backing_.freeUserPage(pfn);
-    backing_.onUnmapRelease(anon_released, file_released);
     vmas_.erase(it);
 }
 
@@ -80,32 +74,73 @@ AddressSpace::findVma(std::uint64_t va) const
     return it->second.contains(va) ? &it->second : nullptr;
 }
 
-Gpfn
-AddressSpace::touch(std::uint64_t vaddr, bool write)
+namespace {
+
+/** Maps each faulted page and records it for touchRange's caller. */
+class FaultMapper final : public UserPageSink
 {
-    const std::uint64_t va = vaddr & ~(mem::pageSize - 1);
-    if (auto pte = table_.lookup(va)) {
-        table_.touch(va, write);
-        return pte->pfn;
+  public:
+    FaultMapper(PageTable &table, bool write, Gpfn *out)
+        : table_(table), write_(write), out_(out)
+    {
     }
 
-    const Vma *vma = findVma(va);
+    void
+    mapUserPage(std::uint64_t vaddr, Gpfn pfn) override
+    {
+        table_.mapTouched(vaddr, pfn, write_);
+        *out_++ = pfn;
+    }
+
+  private:
+    PageTable &table_;
+    bool write_;
+    Gpfn *out_;
+};
+
+} // namespace
+
+std::uint64_t
+AddressSpace::touchRange(std::uint64_t vaddr, std::uint64_t n, bool write,
+                         Gpfn *out)
+{
+    const std::uint64_t start = vaddr & ~(mem::pageSize - 1);
+    const Vma *vma = findVma(start);
     hos_assert(vma != nullptr, "fault outside any VMA");
+    hos_assert(n <= (vma->end() - start) / mem::pageSize,
+               "touch range runs past its VMA");
 
-    Gpfn pfn;
-    if (vma->kind == VmaKind::File) {
-        const std::uint64_t offset = vma->file_offset + (va - vma->start);
-        pfn = backing_.fileBackedPage(vma->file, offset, vma->hint, pid_,
-                                      va);
-    } else {
-        pfn = backing_.allocUserPage(vma->pageType(), vma->hint, pid_, va);
+    PageTable::LeafCursor cursor(table_);
+    std::uint64_t done = 0;
+    while (done < n) {
+        const std::uint64_t va = start + done * mem::pageSize;
+        if (std::uint64_t *slot = cursor.present(va)) {
+            PageTable::LeafCursor::touch(*slot, write);
+            out[done++] = PageTable::LeafCursor::pfnOf(*slot);
+            continue;
+        }
+        const std::uint64_t run = table_.unmappedRun(va, n - done);
+        FaultMapper mapper(table_, write, out + done);
+        std::uint64_t got = 0;
+        if (vma->kind == VmaKind::File) {
+            for (; got < run; ++got) {
+                const std::uint64_t fva = va + got * mem::pageSize;
+                const Gpfn pfn = backing_.fileBackedPage(
+                    vma->file, vma->file_offset + (fva - vma->start),
+                    vma->hint, pid_, fva);
+                if (pfn == invalidGpfn)
+                    break;
+                mapper.mapUserPage(fva, pfn);
+            }
+        } else {
+            got = backing_.allocUserPages(vma->pageType(), vma->hint,
+                                          pid_, va, run, mapper);
+        }
+        done += got;
+        if (got < run)
+            break; // out of memory
     }
-    if (pfn == invalidGpfn)
-        return invalidGpfn;
-
-    table_.map(va, pfn, true);
-    table_.touch(va, write);
-    return pfn;
+    return done;
 }
 
 std::optional<Gpfn>

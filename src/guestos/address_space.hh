@@ -24,18 +24,41 @@
 
 namespace hos::guestos {
 
+/** Receives the pages MmBacking::allocUserPages hands out. */
+class UserPageSink
+{
+  public:
+    /**
+     * `pfn` now backs `vaddr`. Called as each page is allocated,
+     * before the next one is, so whatever the allocator runs in
+     * between (reclaim, balloon, page-table pages) sees it mapped.
+     */
+    virtual void mapUserPage(std::uint64_t vaddr, Gpfn pfn) = 0;
+
+  protected:
+    ~UserPageSink() = default;
+};
+
 /** Services the address space needs from the kernel. */
 class MmBacking
 {
   public:
     virtual ~MmBacking() = default;
 
-    /** Allocate a user page (anon or netbuf) for a faulting vaddr. */
-    virtual Gpfn allocUserPage(PageType type, MemHint hint,
-                               ProcessId process, std::uint64_t vaddr) = 0;
+    /**
+     * Allocate user pages (anon or netbuf) for the `n` faulting
+     * vaddrs from `vaddr`, one placement decision per page in address
+     * order, handing each to `sink`. Returns the pages allocated; a
+     * short count means the guest ran out of memory.
+     */
+    virtual std::uint64_t allocUserPages(PageType type, MemHint hint,
+                                         ProcessId process,
+                                         std::uint64_t vaddr,
+                                         std::uint64_t n,
+                                         UserPageSink &sink) = 0;
 
-    /** Release an anonymous page at munmap/exit. */
-    virtual void freeUserPage(Gpfn pfn) = 0;
+    /** Release anonymous pages at munmap/exit, in the given order. */
+    virtual void freeUserPages(const std::vector<Gpfn> &pfns) = 0;
 
     /** Find-or-load the page-cache page backing (file, offset). */
     virtual Gpfn fileBackedPage(FileId file, std::uint64_t offset,
@@ -81,11 +104,25 @@ class AddressSpace
     const Vma *findVma(std::uint64_t va) const;
 
     /**
-     * Touch one page: fault it in if needed, set PTE accessed/dirty
-     * bits. Returns the gpfn now backing the address, or invalidGpfn
-     * if allocation failed (guest truly out of memory).
+     * Touch `n` consecutive pages from vaddr, all inside one VMA:
+     * fault in each unmapped page and set the PTE accessed (and on a
+     * write, dirty) bits. Writes the backing gpfns to `out` in
+     * address order and returns how many pages it covered; a short
+     * count means the guest ran out of memory at that page.
      */
-    Gpfn touch(std::uint64_t vaddr, bool write);
+    std::uint64_t touchRange(std::uint64_t vaddr, std::uint64_t n,
+                             bool write, Gpfn *out);
+
+    /**
+     * Touch one page: the gpfn now backing the address, or
+     * invalidGpfn if allocation failed (guest truly out of memory).
+     */
+    Gpfn touch(std::uint64_t vaddr, bool write)
+    {
+        Gpfn pfn = invalidGpfn;
+        touchRange(vaddr, 1, write, &pfn);
+        return pfn;
+    }
 
     /** Gpfn currently backing vaddr, if present. */
     std::optional<Gpfn> translate(std::uint64_t vaddr) const;

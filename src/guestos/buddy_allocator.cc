@@ -1,6 +1,7 @@
 #include "guestos/buddy_allocator.hh"
 
 #include <algorithm>
+#include <array>
 
 namespace hos::guestos {
 
@@ -109,7 +110,7 @@ BuddyAllocator::alloc(unsigned order)
 }
 
 void
-BuddyAllocator::free(Gpfn pfn, unsigned order)
+BuddyAllocator::resetFreedPages(Gpfn pfn, unsigned order)
 {
     hos_assert(order < maxOrder, "order %u too large", order);
     hos_assert(blockInRange(pfn, order), "freeing block outside range");
@@ -129,20 +130,114 @@ BuddyAllocator::free(Gpfn pfn, unsigned order)
         p.setHeat(0); // a recycled frame is not the hot page it backed
         p.setOwnerProcess(noProcess);
     }
+}
 
+Gpfn
+BuddyAllocator::coalesce(Gpfn pfn, unsigned &order)
+{
     // Coalesce upward while the buddy block is free at the same order.
     while (order + 1 < maxOrder) {
         const Gpfn buddy = buddyOf(pfn, order);
         if (!blockInRange(buddy, order))
             break;
-        const PageRef bp = pages_.page(buddy);
+        PageRef bp = pages_.page(buddy);
         if (!bp.in_buddy() || bp.buddy_order() != order)
             break;
-        removeBlock(buddy, order);
+        if (bp.list_id() == noListId)
+            bp.setInBuddy(false); // built by the running freeBatch()
+        else
+            removeBlock(buddy, order);
         pfn = std::min(pfn, buddy);
         ++order;
     }
-    insertBlock(pfn, order);
+    return pfn;
+}
+
+void
+BuddyAllocator::free(Gpfn pfn, unsigned order)
+{
+    resetFreedPages(pfn, order);
+    const Gpfn head = coalesce(pfn, order);
+    insertBlock(head, order);
+}
+
+void
+BuddyAllocator::freeBatch(const Gpfn *pfns, std::uint64_t n)
+{
+    // Each merged block is marked free in the page columns at once,
+    // so later coalescing probes in the batch see it, but joins its
+    // free list only at the end of a chunk. free() would have pushed
+    // it to the list tail when it was built, so the survivors go to
+    // the tails in build order. Flushing after any page leaves the
+    // lists per-page frees would have made by then, so chunking only
+    // bounds the buffer.
+    constexpr std::uint64_t chunk = 1024;
+    for (std::uint64_t base = 0; base < n; base += chunk) {
+        built_.clear();
+        for (std::uint64_t i = base; i < std::min(n, base + chunk); ++i) {
+            unsigned order = 0;
+            resetFreedPages(pfns[i], order);
+            const Gpfn head = coalesce(pfns[i], order);
+            PageRef hp = pages_.page(head);
+            hp.setInBuddy(true);
+            hp.setBuddyOrder(static_cast<std::uint8_t>(order));
+            built_.emplace_back(head, order);
+        }
+        for (const auto &[head, order] : built_) {
+            const PageRef hp = pages_.page(head);
+            if (!hp.in_buddy() || hp.buddy_order() != order ||
+                hp.list_id() != noListId) {
+                continue; // merged into a larger block later on
+            }
+            free_area_[order].pushBack(head);
+            free_pages_ += 1ull << order;
+        }
+    }
+}
+
+std::uint64_t
+BuddyAllocator::allocBatch(std::uint64_t n, Gpfn *out)
+{
+    // split[o] is an order-o half split off inside this batch and not
+    // yet taken again; alloc(0) would have pushed it to the tail of
+    // free_area_[o]. A split only happens once every lower order is
+    // empty, and no list gains a member mid-batch, so each order holds
+    // at most one such half and then its list is otherwise empty.
+    std::array<Gpfn, maxOrder> split;
+    split.fill(invalidGpfn);
+    std::uint64_t got = 0;
+    for (; got < n; ++got) {
+        unsigned o = 0;
+        while (o < maxOrder && split[o] == invalidGpfn &&
+               free_area_[o].empty()) {
+            ++o;
+        }
+        if (o == maxOrder)
+            break;
+        Gpfn pfn = split[o];
+        if (pfn != invalidGpfn) {
+            split[o] = invalidGpfn;
+        } else {
+            pfn = free_area_[o].head();
+            removeBlock(pfn, o);
+        }
+        while (o > 0) {
+            --o;
+            const Gpfn half = pfn + (1ull << o);
+            pages_.page(half).setBuddyOrder(static_cast<std::uint8_t>(o));
+            split[o] = half;
+        }
+        PageRef p = pages_.page(pfn);
+        hos_assert(!p.allocated(), "allocating an allocated page");
+        pages_.setAllocated(p, true);
+        p.setInBuddy(false);
+        out[got] = pfn;
+    }
+    for (unsigned o = 0; o < maxOrder; ++o) {
+        if (split[o] != invalidGpfn)
+            insertBlock(split[o], o);
+    }
+    return got;
 }
 
 Gpfn

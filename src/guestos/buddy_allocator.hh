@@ -17,6 +17,7 @@
 #define HOS_GUESTOS_BUDDY_ALLOCATOR_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "guestos/page.hh"
@@ -58,6 +59,23 @@ class BuddyAllocator
     void free(Gpfn pfn, unsigned order);
 
     /**
+     * Allocate up to `n` order-0 pages into `out`: the pfns, their
+     * order, and the free lists left behind are those of `n` calls
+     * of alloc(0) that stop at the first failure. The halves split
+     * off inside the batch and taken again before it ends never touch
+     * a free list. Returns the pages allocated.
+     */
+    std::uint64_t allocBatch(std::uint64_t n, Gpfn *out);
+
+    /**
+     * Free order-0 pages in the given order. The free lists come out
+     * as free(pfns[i], 0) for each i leaves them, down to the tail
+     * position of every final block; blocks built and merged away
+     * again inside the batch never touch a free list.
+     */
+    void freeBatch(const Gpfn *pfns, std::uint64_t n);
+
+    /**
      * Permanently remove one free page from management (ballooning).
      * Returns invalidGpfn when no free page is available. Prefers
      * small blocks to avoid fragmenting large ones.
@@ -82,6 +100,15 @@ class BuddyAllocator
     bool blockInRange(Gpfn pfn, unsigned order) const;
     void insertBlock(Gpfn pfn, unsigned order);
     void removeBlock(Gpfn pfn, unsigned order);
+    /** Check and reset the pages of an allocated block being freed. */
+    void resetFreedPages(Gpfn pfn, unsigned order);
+    /**
+     * Merge a block being freed with its free buddies; returns the
+     * merged head and leaves its order in `order`. A buddy built by
+     * the running freeBatch() is off every list and is merged
+     * by clearing its head flag.
+     */
+    Gpfn coalesce(Gpfn pfn, unsigned &order);
 
     PageArray &pages_;
     Gpfn base_;
@@ -89,6 +116,8 @@ class BuddyAllocator
     std::uint64_t free_pages_ = 0;
     std::uint64_t managed_pages_ = 0;
     std::vector<PageList> free_area_;
+    /** freeBatch() buffer: blocks built, in insertion order. */
+    std::vector<std::pair<Gpfn, unsigned>> built_;
 };
 
 } // namespace hos::guestos

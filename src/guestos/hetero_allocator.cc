@@ -48,9 +48,25 @@ heapIoSlabOdConfig()
     return cfg;
 }
 
+AllocTelemetry
+AllocTelemetry::current()
+{
+    AllocTelemetry t;
+    t.xray = xray::active();
+    if (trace::anyEnabled()) { // the common case skips the lookups
+        t.trace_alloc = trace::enabled(
+            trace::eventTypeInfo(trace::EventType::PageAlloc).category);
+        t.trace_free = trace::enabled(
+            trace::eventTypeInfo(trace::EventType::PageFree).category);
+    }
+    return t;
+}
+
 HeteroAllocator::HeteroAllocator(GuestKernel &kernel, AllocConfig cfg,
                                  std::uint64_t seed)
-    : kernel_(kernel), cfg_(cfg), rng_(seed ^ 0xA110Cull)
+    : kernel_(kernel), fast_(kernel.nodeFor(mem::MemType::FastMem)),
+      slow_(kernel.nodeFor(mem::MemType::SlowMem)), cfg_(cfg),
+      rng_(seed ^ 0xA110Cull)
 {
 }
 
@@ -70,8 +86,8 @@ HeteroAllocator::deservesFastMem(PageType t) const
 unsigned
 HeteroAllocator::chooseNode(const AllocRequest &req)
 {
-    NumaNode *fast = kernel_.nodeFor(mem::MemType::FastMem);
-    NumaNode *slow = kernel_.nodeFor(mem::MemType::SlowMem);
+    NumaNode *fast = fast_;
+    NumaNode *slow = slow_;
 
     // Single-node guests (SlowMem-only / FastMem-only baselines, or a
     // heterogeneity-blind guest under a VMM-exclusive policy) have no
@@ -168,7 +184,8 @@ HeteroAllocator::chooseNode(const AllocRequest &req)
 }
 
 Gpfn
-HeteroAllocator::allocPage(const AllocRequest &req)
+HeteroAllocator::allocPage(const AllocRequest &req,
+                           const AllocTelemetry &tel)
 {
     const std::size_t ti = pageTypeIndex(req.type);
     total_requests_.inc();
@@ -237,26 +254,43 @@ HeteroAllocator::allocPage(const AllocRequest &req)
         window_[ti].fast_misses += 1;
         total_fast_misses_.inc();
     }
-    trace::emit(trace::EventType::PageAlloc, kernel_.events().now(), ti,
-                pfn, static_cast<std::uint64_t>(p.mem_type()));
-    if (auto *xr = xray::active()) {
-        xr->onAlloc(kernel_.vmTag(), pfn,
-                    static_cast<std::uint8_t>(kernel_.backingOf(pfn)),
-                    kernel_.events().now());
+    if (tel.trace_alloc) {
+        trace::emit(trace::EventType::PageAlloc, kernel_.events().now(),
+                    ti, pfn, static_cast<std::uint64_t>(p.mem_type()));
+    }
+    if (tel.xray) {
+        tel.xray->onAlloc(kernel_.vmTag(), pfn,
+                          static_cast<std::uint8_t>(kernel_.backingOf(pfn)),
+                          kernel_.events().now());
     }
     return pfn;
 }
 
 void
-HeteroAllocator::freePage(Gpfn pfn, unsigned cpu)
+HeteroAllocator::freePages(const Gpfn *pfns, std::uint64_t n, unsigned cpu,
+                           const AllocTelemetry &tel)
 {
-    const PageRef p = kernel_.pageMeta(pfn);
-    HOS_CHECK_CHEAP(
-        check::validateFree(p, "hetero_allocator.freePage"));
-    hos_assert(p.allocated(), "freeing unallocated page");
-    trace::emit(trace::EventType::PageFree, kernel_.events().now(), pfn,
-                static_cast<std::uint64_t>(p.mem_type()));
-    kernel_.percpu().free(cpu, kernel_.nodeOf(pfn), pfn);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const PageRef p = kernel_.pageMeta(pfns[i]);
+        HOS_CHECK_CHEAP(
+            check::validateFree(p, "hetero_allocator.freePage"));
+        hos_assert(p.allocated(), "freeing unallocated page");
+        if (tel.trace_free) {
+            trace::emit(trace::EventType::PageFree, kernel_.events().now(),
+                        pfns[i], static_cast<std::uint64_t>(p.mem_type()));
+        }
+    }
+    // Each node's per-CPU list and buddy are its own, so a run of one
+    // node's pages is one batch.
+    std::uint64_t i = 0;
+    while (i < n) {
+        NumaNode &node = kernel_.nodeOf(pfns[i]);
+        std::uint64_t j = i + 1;
+        while (j < n && node.containsGpfn(pfns[j]))
+            ++j;
+        kernel_.percpu().freePages(cpu, node, pfns + i, j - i);
+        i = j;
+    }
 }
 
 void

@@ -29,9 +29,14 @@
 #include "sim/stats.hh"
 #include "sim/time.hh"
 
+namespace hos::xray {
+class Recorder;
+}
+
 namespace hos::guestos {
 
 class GuestKernel;
+class NumaNode;
 
 /** Placement strategy the allocator runs. */
 enum class AllocMode : std::uint8_t {
@@ -82,6 +87,21 @@ struct AllocRequest
     std::uint64_t vaddr = 0;
 };
 
+/**
+ * The telemetry an allocation or free reports to. Nothing the
+ * allocator does installs or removes a sink, so a batch resolves this
+ * once instead of once per page.
+ */
+struct AllocTelemetry
+{
+    xray::Recorder *xray = nullptr;
+    bool trace_alloc = false; ///< PageAlloc events are recorded
+    bool trace_free = false;  ///< PageFree events are recorded
+
+    /** The sinks active on this thread now. */
+    static AllocTelemetry current();
+};
+
 /** Per-page-type demand statistics for one epoch window. */
 struct DemandWindow
 {
@@ -108,10 +128,17 @@ class HeteroAllocator
     void setConfig(const AllocConfig &cfg) { cfg_ = cfg; }
 
     /** Allocate one page; invalidGpfn when the guest is truly full. */
-    Gpfn allocPage(const AllocRequest &req);
+    Gpfn allocPage(const AllocRequest &req)
+    {
+        return allocPage(req, AllocTelemetry::current());
+    }
 
-    /** Free a page back to its node (via the per-CPU cache). */
-    void freePage(Gpfn pfn, unsigned cpu = 0);
+    /** allocPage() reporting to telemetry resolved by the caller. */
+    Gpfn allocPage(const AllocRequest &req, const AllocTelemetry &tel);
+
+    /** Free pages, in order, back to their nodes via the per-CPU cache. */
+    void freePages(const Gpfn *pfns, std::uint64_t n, unsigned cpu,
+                   const AllocTelemetry &tel);
 
     /** Rotate the demand window (call every cfg.epoch). */
     void rotateEpoch();
@@ -137,6 +164,9 @@ class HeteroAllocator
         return total_fast_misses_.value();
     }
 
+    /** The placement RNG (Random / NUMA-preferred coin flips). */
+    const sim::Rng &rng() const { return rng_; }
+
   private:
     /** Pick the node to try first; may trigger balloon/reclaim. */
     unsigned chooseNode(const AllocRequest &req);
@@ -145,6 +175,9 @@ class HeteroAllocator
     bool deservesFastMem(PageType t) const;
 
     GuestKernel &kernel_;
+    /// First node of each type, or nullptr; fixed at kernel boot.
+    NumaNode *fast_;
+    NumaNode *slow_;
     AllocConfig cfg_;
     sim::Rng rng_;
     std::uint64_t pressure_allocs_ = 0;

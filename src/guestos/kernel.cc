@@ -151,14 +151,16 @@ GuestKernel::allocPage(const AllocRequest &req)
 }
 
 void
-GuestKernel::freePage(Gpfn pfn, unsigned cpu)
+GuestKernel::freePages(const Gpfn *pfns, std::uint64_t n, unsigned cpu)
 {
-    const PageRef p = pages_.page(pfn);
-    hos_assert(p.lru() == LruState::None,
-               "freeing a page still on the LRU");
-    if (auto *xr = xray::active())
-        xr->onFree(vm_tag_, pfn, events_.now());
-    allocator_->freePage(pfn, cpu);
+    const AllocTelemetry tel = AllocTelemetry::current();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        hos_assert(pages_.page(pfns[i]).lru() == LruState::None,
+                   "freeing a page still on the LRU");
+        if (tel.xray)
+            tel.xray->onFree(vm_tag_, pfns[i], events_.now());
+    }
+    allocator_->freePages(pfns, n, cpu, tel);
 }
 
 Gpfn
@@ -394,32 +396,44 @@ GuestKernel::syncStats()
 
 // --- MmBacking -------------------------------------------------------
 
-Gpfn
-GuestKernel::allocUserPage(PageType type, MemHint hint, ProcessId process,
-                           std::uint64_t vaddr)
+std::uint64_t
+GuestKernel::allocUserPages(PageType type, MemHint hint, ProcessId process,
+                            std::uint64_t vaddr, std::uint64_t n,
+                            UserPageSink &sink)
 {
     AllocRequest req;
     req.type = type;
     req.hint = hint;
     req.process = process;
     req.vaddr = vaddr;
-    const Gpfn pfn = allocator_->allocPage(req);
-    if (pfn == invalidGpfn)
-        return invalidGpfn;
-    PageRef p = pages_.page(pfn);
-    p.setOwnerProcess(process);
-    p.setVaddr(vaddr);
-    lruAdd(pfn);
-    return pfn;
+    const AllocTelemetry tel = AllocTelemetry::current();
+    Zone *zone = nullptr; // the last page's zone, usually the next one's
+    for (std::uint64_t i = 0; i < n; ++i) {
+        // allocPage stamps the owner and vaddr.
+        const Gpfn pfn = allocator_->allocPage(req, tel);
+        if (pfn == invalidGpfn)
+            return i;
+        if (!zone || !zone->containsGpfn(pfn))
+            zone = &zoneOf(pfn);
+        zone->lru().addPage(pfn);
+        sink.mapUserPage(req.vaddr, pfn);
+        req.vaddr += mem::pageSize;
+    }
+    return n;
 }
 
 void
-GuestKernel::freeUserPage(Gpfn pfn)
+GuestKernel::freeUserPages(const std::vector<Gpfn> &pfns)
 {
-    const PageRef p = pages_.page(pfn);
-    if (p.lru() != LruState::None)
-        lruRemove(pfn);
-    freePage(pfn);
+    Zone *zone = nullptr;
+    for (Gpfn pfn : pfns) {
+        if (pages_.page(pfn).lru() == LruState::None)
+            continue;
+        if (!zone || !zone->containsGpfn(pfn))
+            zone = &zoneOf(pfn);
+        zone->lru().removePage(pfn);
+    }
+    freePages(pfns.data(), pfns.size());
 }
 
 Gpfn

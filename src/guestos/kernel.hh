@@ -169,7 +169,10 @@ class GuestKernel final : public MmBacking,
     Gpfn allocPage(const AllocRequest &req);
 
     /** Free any allocated page (must be off the LRU). */
-    void freePage(Gpfn pfn, unsigned cpu = 0);
+    void freePage(Gpfn pfn, unsigned cpu = 0) { freePages(&pfn, 1, cpu); }
+
+    /** freePage() of each page, in order. */
+    void freePages(const Gpfn *pfns, std::uint64_t n, unsigned cpu = 0);
 
     /**
      * Allocate directly from a specific node (reclaim/demotion path;
@@ -266,9 +269,11 @@ class GuestKernel final : public MmBacking,
     void syncStats();
 
     // --- MmBacking ---------------------------------------------------
-    Gpfn allocUserPage(PageType type, MemHint hint, ProcessId process,
-                       std::uint64_t vaddr) override;
-    void freeUserPage(Gpfn pfn) override;
+    std::uint64_t allocUserPages(PageType type, MemHint hint,
+                                 ProcessId process, std::uint64_t vaddr,
+                                 std::uint64_t n,
+                                 UserPageSink &sink) override;
+    void freeUserPages(const std::vector<Gpfn> &pfns) override;
     Gpfn fileBackedPage(FileId file, std::uint64_t offset, MemHint hint,
                         ProcessId process, std::uint64_t vaddr) override;
     void onUnmapRelease(const std::vector<Gpfn> &anon_released,

@@ -68,23 +68,31 @@ NumaNode::managedPages() const
     return n;
 }
 
-Gpfn
-NumaNode::allocBlock(unsigned order)
+std::uint64_t
+NumaNode::allocBatch(std::uint64_t n, Gpfn *out)
 {
-    // Prefer the primary zone; fall back to DMA only under pressure
-    // (Linux's lowmem-protection behaviour, simplified).
-    for (auto it = zones_.rbegin(); it != zones_.rend(); ++it) {
-        const Gpfn pfn = (*it)->buddy().alloc(order);
-        if (pfn != invalidGpfn)
-            return pfn;
-    }
-    return invalidGpfn;
+    // A zone that fails once stays empty for the rest of the batch,
+    // so draining the zones in turn is n single-page allocations.
+    std::uint64_t got = 0;
+    for (auto it = zones_.rbegin(); it != zones_.rend() && got < n; ++it)
+        got += (*it)->buddy().allocBatch(n - got, out + got);
+    return got;
 }
 
 void
-NumaNode::freeBlock(Gpfn pfn, unsigned order)
+NumaNode::freeBatch(const Gpfn *pfns, std::uint64_t n)
 {
-    zoneOf(pfn).buddy().free(pfn, order);
+    // Zones are independent, so each run of one zone's pages is one
+    // batch.
+    std::uint64_t i = 0;
+    while (i < n) {
+        Zone &z = zoneOf(pfns[i]);
+        std::uint64_t j = i + 1;
+        while (j < n && z.containsGpfn(pfns[j]))
+            ++j;
+        z.buddy().freeBatch(pfns + i, j - i);
+        i = j;
+    }
 }
 
 } // namespace hos::guestos

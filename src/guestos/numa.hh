@@ -71,11 +71,15 @@ class NumaNode
     std::uint64_t freePages() const;
     std::uint64_t managedPages() const;
 
-    /** Allocate a 2^order block from the node's zones. */
-    Gpfn allocBlock(unsigned order);
+    /**
+     * Allocate up to `n` order-0 pages into `out`, primary zone
+     * first and DMA only once it is empty (Linux's lowmem protection,
+     * simplified). Returns the pages allocated.
+     */
+    std::uint64_t allocBatch(std::uint64_t n, Gpfn *out);
 
-    /** Free a block into whichever zone owns it. */
-    void freeBlock(Gpfn pfn, unsigned order);
+    /** Free order-0 pages, in order, into the zones that own them. */
+    void freeBatch(const Gpfn *pfns, std::uint64_t n);
 
   private:
     [[noreturn]] void zoneOfMiss(Gpfn pfn) const;

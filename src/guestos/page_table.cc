@@ -6,13 +6,6 @@ namespace hos::guestos {
 
 namespace {
 
-// Leaf-slot layout.
-constexpr std::uint64_t bitPresent = 1ull << 0;
-constexpr std::uint64_t bitRw = 1ull << 1;
-constexpr std::uint64_t bitAccessed = 1ull << 2;
-constexpr std::uint64_t bitDirty = 1ull << 3;
-constexpr std::uint64_t pfnShift = 12;
-
 // Intermediate slots store the child Node pointer (8-byte aligned, so
 // the low three bits are free) plus the present bit.
 constexpr std::uint64_t ptrMask = ~std::uint64_t(0x7);
@@ -20,17 +13,18 @@ constexpr std::uint64_t ptrMask = ~std::uint64_t(0x7);
 std::uint64_t
 makeLeaf(Gpfn pfn, bool writable)
 {
-    return (pfn << pfnShift) | bitPresent | (writable ? bitRw : 0);
+    return (pfn << PageTable::pfnShift) | PageTable::bitPresent |
+           (writable ? PageTable::bitRw : 0);
 }
 
 PteView
 decodeLeaf(std::uint64_t slot)
 {
     PteView v;
-    v.pfn = slot >> pfnShift;
-    v.writable = slot & bitRw;
-    v.accessed = slot & bitAccessed;
-    v.dirty = slot & bitDirty;
+    v.pfn = slot >> PageTable::pfnShift;
+    v.writable = slot & PageTable::bitRw;
+    v.accessed = slot & PageTable::bitAccessed;
+    v.dirty = slot & PageTable::bitDirty;
     return v;
 }
 
@@ -111,8 +105,8 @@ PageTable::leafSlot(std::uint64_t vaddr) const
     return &n->slots[levelIndex(vaddr, 0)];
 }
 
-void
-PageTable::map(std::uint64_t vaddr, Gpfn pfn, bool writable)
+std::uint64_t &
+PageTable::mapSlot(std::uint64_t vaddr)
 {
     hos_assert(vaddr < vaSpan, "vaddr outside table span");
     const std::uint64_t tag = vaddr >> (mem::pageShift + bitsPerLevel);
@@ -128,9 +122,22 @@ PageTable::map(std::uint64_t vaddr, Gpfn pfn, bool writable)
     }
     std::uint64_t &slot = n->slots[levelIndex(vaddr, 0)];
     hos_assert(!(slot & bitPresent), "overmapping vaddr");
-    slot = makeLeaf(pfn, writable);
     ++n->used;
     ++mapped_;
+    return slot;
+}
+
+void
+PageTable::map(std::uint64_t vaddr, Gpfn pfn, bool writable)
+{
+    mapSlot(vaddr) = makeLeaf(pfn, writable);
+}
+
+void
+PageTable::mapTouched(std::uint64_t vaddr, Gpfn pfn, bool write)
+{
+    mapSlot(vaddr) =
+        makeLeaf(pfn, true) | bitAccessed | (write ? bitDirty : 0);
 }
 
 std::optional<Gpfn>
@@ -144,6 +151,50 @@ PageTable::unmap(std::uint64_t vaddr)
     hos_assert(mapped_ > 0, "unmap accounting underflow");
     --mapped_;
     return pfn;
+}
+
+void
+PageTable::unmapRange(std::uint64_t vaddr, std::uint64_t n,
+                      std::vector<Gpfn> &out)
+{
+    while (n > 0) {
+        const unsigned first = levelIndex(vaddr, 0);
+        const std::uint64_t span =
+            std::min<std::uint64_t>(n, entriesPerNode - first);
+        if (Node *leaf = leafNode(vaddr)) {
+            for (unsigned i = first; i < first + span; ++i) {
+                std::uint64_t &slot = leaf->slots[i];
+                if (!(slot & bitPresent))
+                    continue;
+                out.push_back(slot >> pfnShift);
+                slot = 0;
+                hos_assert(mapped_ > 0, "unmap accounting underflow");
+                --mapped_;
+            }
+        }
+        vaddr += span * mem::pageSize;
+        n -= span;
+    }
+}
+
+std::uint64_t
+PageTable::unmappedRun(std::uint64_t vaddr, std::uint64_t max) const
+{
+    std::uint64_t run = 0;
+    while (run < max) {
+        const unsigned first = levelIndex(vaddr, 0);
+        const std::uint64_t span =
+            std::min<std::uint64_t>(max - run, entriesPerNode - first);
+        if (const Node *leaf = leafNode(vaddr)) {
+            for (unsigned i = first; i < first + span; ++i) {
+                if (leaf->slots[i] & bitPresent)
+                    return run + (i - first);
+            }
+        }
+        run += span;
+        vaddr += span * mem::pageSize;
+    }
+    return run;
 }
 
 std::optional<PteView>

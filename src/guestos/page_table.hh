@@ -60,8 +60,28 @@ class PageTable
     /** Map vaddr -> pfn. Panics if already mapped (no overmap). */
     void map(std::uint64_t vaddr, Gpfn pfn, bool writable);
 
+    /**
+     * A fault's map + first access: map vaddr -> pfn writable with
+     * the accessed bit set, and the dirty bit on a write.
+     */
+    void mapTouched(std::uint64_t vaddr, Gpfn pfn, bool write);
+
     /** Unmap; returns the pfn that was mapped, or nullopt. */
     std::optional<Gpfn> unmap(std::uint64_t vaddr);
+
+    /**
+     * Unmap every present leaf in the `n` pages from vaddr, walking
+     * one 512-entry leaf node at a time, and append the pfns that
+     * were mapped to `out` in address order.
+     */
+    void unmapRange(std::uint64_t vaddr, std::uint64_t n,
+                    std::vector<Gpfn> &out);
+
+    /**
+     * Length of the run of unmapped pages from vaddr, at most `max`.
+     * An absent leaf node counts as 512 unmapped pages.
+     */
+    std::uint64_t unmappedRun(std::uint64_t vaddr, std::uint64_t max) const;
 
     /** Look up a leaf translation. */
     std::optional<PteView> lookup(std::uint64_t vaddr) const;
@@ -108,11 +128,65 @@ class PageTable
         std::uint16_t used = 0;
     };
 
+  public:
+    // Leaf-slot layout: frame number above pfnShift plus flag bits.
+    static constexpr std::uint64_t bitPresent = 1ull << 0;
+    static constexpr std::uint64_t bitRw = 1ull << 1;
+    static constexpr std::uint64_t bitAccessed = 1ull << 2;
+    static constexpr std::uint64_t bitDirty = 1ull << 3;
+    static constexpr std::uint64_t pfnShift = 12;
+
+    /**
+     * A caller-held position in the leaf level for walks in address
+     * order: each 512-entry leaf node is resolved once, then slots
+     * are read and A/D bits set in place. Never allocates nodes, so
+     * it stays valid while the table lives (nodes are never freed).
+     */
+    class LeafCursor
+    {
+      public:
+        explicit LeafCursor(const PageTable &table) : table_(&table) {}
+
+        /** The present leaf entry of vaddr, or nullptr. */
+        std::uint64_t *
+        present(std::uint64_t vaddr)
+        {
+            const std::uint64_t tag =
+                vaddr >> (mem::pageShift + bitsPerLevel);
+            if (tag != tag_ || !node_) { // a fault may add the node
+                tag_ = tag;
+                node_ = table_->leafNode(vaddr);
+            }
+            if (!node_)
+                return nullptr;
+            std::uint64_t &slot = node_->slots[levelIndex(vaddr, 0)];
+            return (slot & bitPresent) ? &slot : nullptr;
+        }
+
+        /** The frame a present entry maps. */
+        static Gpfn pfnOf(std::uint64_t slot) { return slot >> pfnShift; }
+
+        /** A hardware access through a present entry. */
+        static void
+        touch(std::uint64_t &slot, bool write)
+        {
+            slot |= bitAccessed | (write ? bitDirty : 0);
+        }
+
+      private:
+        const PageTable *table_;
+        std::uint64_t tag_ = ~std::uint64_t(0);
+        Node *node_ = nullptr;
+    };
+
+  private:
     static unsigned levelIndex(std::uint64_t vaddr, unsigned level);
     Node *childOf(const Node &n, unsigned idx) const;
     Node *ensureChild(Node &n, unsigned idx);
     std::uint64_t *leafSlot(std::uint64_t vaddr) const;
     Node *leafNode(std::uint64_t vaddr) const;
+    /** The leaf slot of vaddr, creating the nodes above it. */
+    std::uint64_t &mapSlot(std::uint64_t vaddr);
 
     std::uint64_t scanNode(Node &node, unsigned level,
                            std::uint64_t va_base, std::uint64_t va_lo,

@@ -1,14 +1,24 @@
 #include "guestos/percpu_lists.hh"
 
+#include <algorithm>
+
 #include "check/page_state.hh"
 
 namespace hos::guestos {
+
+namespace {
+/**
+ * Pages a batch free hands the buddy at a time. Nothing reads the
+ * buddy between frees, so any split of the drain sequence is exact.
+ */
+constexpr std::size_t drainChunk = 1024;
+} // namespace
 
 PerCpuPageLists::PerCpuPageLists(PageArray &pages, unsigned cpus,
                                  unsigned nodes, unsigned batch,
                                  unsigned high)
     : pages_(pages), cpus_(cpus), nodes_(nodes), batch_(batch), high_(high),
-      cached_per_node_(nodes, 0)
+      cached_per_node_(nodes, 0), refill_(batch)
 {
     hos_assert(cpus > 0 && nodes > 0, "need cpus and nodes");
     lists_.reserve(static_cast<std::size_t>(cpus) * nodes);
@@ -43,64 +53,93 @@ PerCpuPageLists::alloc(unsigned cpu, NumaNode &node)
     }
     // Refill a batch from the buddy; hand out the first page.
     refills_.inc();
-    const Gpfn first = node.allocBlock(0);
-    if (first == invalidGpfn)
+    const std::uint64_t got = node.allocBatch(batch_, refill_.data());
+    if (got == 0)
         return invalidGpfn;
-    for (unsigned i = 1; i < batch_; ++i) {
-        const Gpfn pfn = node.allocBlock(0);
-        if (pfn == invalidGpfn)
-            break;
-        PageRef p = pages_.page(pfn);
-        pages_.setAllocated(p, false); // parked in the per-CPU cache
+    for (std::uint64_t i = 1; i < got; ++i) {
+        const Gpfn pfn = refill_[i];
+        pages_.setAllocated(pages_.page(pfn), false); // parked here
         list.pushBack(pfn);
         ++cached_per_node_[node.id()];
     }
-    return first;
+    return refill_[0];
 }
 
 void
-PerCpuPageLists::free(unsigned cpu, NumaNode &node, Gpfn pfn)
+PerCpuPageLists::freePages(unsigned cpu, NumaNode &node, const Gpfn *pfns,
+                           std::uint64_t n)
 {
     PageList &list = listFor(cpu, node.id());
-    PageRef p = pages_.page(pfn);
-    HOS_CHECK_CHEAP(check::validateFree(p, "percpu.free"));
-    hos_assert(p.allocated(), "per-cpu free of non-allocated page");
-    // Reset as the buddy would; the page stays out of the buddy while
-    // cached here.
-    pages_.setAllocated(p, false);
-    p.setType(PageType::Free);
-    p.setDirty(false);
-    p.setReferenced(false);
-    p.setPteAccessed(false);
-    p.setHeat(0); // a recycled frame is not the hot page it backed
-    p.setOwnerProcess(noProcess);
-    list.pushFront(pfn);
-    ++cached_per_node_[node.id()];
+    std::uint64_t &cached = cached_per_node_[node.id()];
+    const std::uint64_t target = high_ / 2;
 
-    if (list.size() > high_) {
-        // Drain half back to the buddy (from the cold end).
-        const std::uint64_t target = high_ / 2;
-        while (list.size() > target) {
-            const Gpfn cold = list.popBack();
-            --cached_per_node_[node.id()];
-            pages_.setAllocated(pages_.page(cold), true); // satisfy buddy sanity
-            node.freeBlock(cold, 0);
+    // The cache is a FIFO: frees push at the front and every drain
+    // pops from the back down to `target`. Replaying only the sizes
+    // tells how many of the oldest entries this batch's drains send
+    // to the buddy: the list's own entries from the tail first, then
+    // the first of `pfns`, which need no push and pop at all.
+    std::uint64_t size = list.size();
+    std::uint64_t drained = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (++size > high_) {
+            drained += size - target;
+            size = target;
         }
     }
+    const std::uint64_t from_list = std::min(drained, list.size());
+    const std::uint64_t direct = drained - from_list;
+
+    drained_.clear();
+    for (std::uint64_t i = 0; i < from_list; ++i) {
+        const Gpfn cold = list.popBack();
+        --cached;
+        // The buddy frees allocated pages.
+        pages_.setAllocated(pages_.page(cold), true);
+        drained_.push_back(cold);
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const Gpfn pfn = pfns[i];
+        PageRef p = pages_.page(pfn);
+        HOS_CHECK_CHEAP(check::validateFree(p, "percpu.free"));
+        hos_assert(p.allocated(), "per-cpu free of non-allocated page");
+        // Reset as the buddy would; the page stays out of the buddy
+        // while cached here.
+        pages_.setAllocated(p, false);
+        p.setType(PageType::Free);
+        p.setDirty(false);
+        p.setReferenced(false);
+        p.setPteAccessed(false);
+        p.setHeat(0); // a recycled frame is not the hot page it backed
+        p.setOwnerProcess(noProcess);
+        if (i < direct) {
+            pages_.setAllocated(p, true);
+            drained_.push_back(pfn);
+            if (drained_.size() == drainChunk) { // bounds the buffer
+                node.freeBatch(drained_.data(), drained_.size());
+                drained_.clear();
+            }
+        } else {
+            list.pushFront(pfn);
+            ++cached;
+        }
+    }
+    node.freeBatch(drained_.data(), drained_.size());
 }
 
 void
 PerCpuPageLists::drainNode(NumaNode &node)
 {
+    drained_.clear();
     for (unsigned cpu = 0; cpu < cpus_; ++cpu) {
         PageList &list = listFor(cpu, node.id());
         while (!list.empty()) {
             const Gpfn pfn = list.popBack();
             --cached_per_node_[node.id()];
             pages_.setAllocated(pages_.page(pfn), true);
-            node.freeBlock(pfn, 0);
+            drained_.push_back(pfn);
         }
     }
+    node.freeBatch(drained_.data(), drained_.size());
 }
 
 std::uint64_t

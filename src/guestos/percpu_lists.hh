@@ -47,7 +47,18 @@ class PerCpuPageLists
      * Fast-path free into cpu's cache; drains half the cache back to
      * the buddy above the high watermark.
      */
-    void free(unsigned cpu, NumaNode &node, Gpfn pfn);
+    void free(unsigned cpu, NumaNode &node, Gpfn pfn)
+    {
+        freePages(cpu, node, &pfn, 1);
+    }
+
+    /**
+     * free() of each page of `node` in order. Nothing reads the buddy
+     * while the cache fills, so the pages the drains send back reach
+     * the buddy in batches, in drain order.
+     */
+    void freePages(unsigned cpu, NumaNode &node, const Gpfn *pfns,
+                   std::uint64_t n);
 
     /** Return every cached page of `node` to its buddy. */
     void drainNode(NumaNode &node);
@@ -86,6 +97,8 @@ class PerCpuPageLists
     unsigned high_;
     std::vector<PageList> lists_;
     std::vector<std::uint64_t> cached_per_node_;
+    std::vector<Gpfn> refill_;  ///< alloc() buffer: one batch
+    std::vector<Gpfn> drained_; ///< freePages() buffer: buddy-bound
     sim::Counter hits_;
     sim::Counter refills_;
 };

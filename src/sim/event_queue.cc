@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 
 #include "sim/log.hh"
 
@@ -154,14 +153,20 @@ EventQueue::schedulePeriodic(Duration period,
                              std::function<Duration(Duration)> action)
 {
     hos_assert(period > 0, "periodic event needs a nonzero period");
-    // The shared_ptr lets the rescheduling lambda refer to itself.
-    auto self = std::make_shared<std::function<void(Duration)>>();
-    *self = [this, action = std::move(action), self](Duration cur) {
-        const Duration next = action(cur);
-        if (next > 0)
-            scheduleAfter(next, [self, next] { (*self)(next); });
-    };
-    scheduleAfter(period, [self, period] { (*self)(period); });
+    const std::size_t idx = periodic_.size();
+    periodic_.push_back({period, std::move(action)});
+    scheduleAfter(period, [this, idx] { firePeriodic(idx); });
+}
+
+void
+EventQueue::firePeriodic(std::size_t idx)
+{
+    Periodic &task = periodic_[idx];
+    const Duration next = task.action(task.period);
+    if (next > 0) {
+        task.period = next;
+        scheduleAfter(next, [this, idx] { firePeriodic(idx); });
+    }
 }
 
 void
@@ -211,6 +216,7 @@ void
 EventQueue::clear()
 {
     resetWheel();
+    periodic_.clear();
 }
 
 } // namespace hos::sim

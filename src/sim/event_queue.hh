@@ -24,6 +24,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -56,7 +57,8 @@ class EventQueue
     /**
      * Schedule `action` every `period`, starting one period from now.
      * The action returns the next period (0 = stop), which lets daemons
-     * adapt their own cadence (Equation 1 in the paper).
+     * adapt their own cadence (Equation 1 in the paper). The queue
+     * owns the action until it is cleared or destroyed.
      */
     void schedulePeriodic(Duration period,
                           std::function<Duration(Duration)> action);
@@ -67,7 +69,10 @@ class EventQueue
     /** Number of pending events. */
     std::size_t pending() const { return pending_; }
 
-    /** Drop all pending events (end of run). */
+    /**
+     * Drop all pending events and periodic tasks (end of run). Not
+     * callable from inside an event action.
+     */
     void clear();
 
   private:
@@ -86,6 +91,19 @@ class EventQueue
         std::function<void()> action;
         std::uint32_t next = npos; ///< slot chain / free list link
     };
+
+    /**
+     * A schedulePeriodic task. The queue owns it; each firing is an
+     * ordinary event that captures only the task's index.
+     */
+    struct Periodic
+    {
+        Duration period = 0; ///< the period the next firing passes
+        std::function<Duration(Duration)> action;
+    };
+
+    /** Run periodic task `idx` and reschedule it by index. */
+    void firePeriodic(std::size_t idx);
 
     /// Tick shifted by a possibly >= 64 bit count (level 10 uses 66).
     static Tick shr(Tick x, unsigned bits)
@@ -113,6 +131,8 @@ class EventQueue
     std::uint32_t free_ = npos;
     std::array<std::uint64_t, numLevels> occupied_;
     std::array<std::array<std::uint32_t, numSlots>, numLevels> slots_;
+    /// A deque: a running action may add tasks without moving itself.
+    std::deque<Periodic> periodic_;
 };
 
 } // namespace hos::sim

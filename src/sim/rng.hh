@@ -12,6 +12,7 @@
 #ifndef HOS_SIM_RNG_HH
 #define HOS_SIM_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 #include "sim/log.hh"
@@ -43,6 +44,15 @@ class Rng
 
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p);
+
+    /**
+     * chance(p) for 0 < p < 1 as an integer compare, for loops that
+     * draw many times with one p: below(chanceThreshold(p)) consumes
+     * the same draw and returns the same answer as chance(p). Exact:
+     * a 53-bit draw x passes when x * 2^-53 < p, i.e. x < ceil(p * 2^53).
+     */
+    static std::uint64_t chanceThreshold(double p);
+    bool below(std::uint64_t threshold) { return (next() >> 11) < threshold; }
 
     /**
      * Zipf-distributed rank in [0, n) with skew parameter s.
@@ -104,6 +114,13 @@ Rng::uniformDouble()
 {
     // 53 high-quality bits into the mantissa.
     return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
+}
+
+inline std::uint64_t
+Rng::chanceThreshold(double p)
+{
+    hos_assert(p > 0.0 && p < 1.0, "chanceThreshold needs 0 < p < 1");
+    return static_cast<std::uint64_t>(std::ceil(p * 9007199254740992.0));
 }
 
 inline bool

@@ -1,6 +1,7 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "metrics/metrics.hh"
 #include "sim/log.hh"
@@ -127,27 +128,32 @@ Workload::makeAnonRegion(const std::string &name, std::uint64_t bytes,
 void
 Workload::growRegion(Region &r, std::uint64_t bytes)
 {
-    const std::uint64_t npages = mem::bytesToPages(bytes);
     auto &as = mainProcess();
     const guestos::Vma *vma = as.findVma(r.vma_start);
     hos_assert(vma != nullptr, "region VMA vanished");
-    for (std::uint64_t i = 0; i < npages; ++i) {
-        const std::uint64_t va =
-            r.vma_start +
-            (static_cast<std::uint64_t>(r.pages.size())) * mem::pageSize;
-        if (va >= vma->end())
-            break; // VMA full (chunked growth rounds up)
-        const guestos::Gpfn pfn = as.touch(va, /*write=*/true);
-        if (pfn == guestos::invalidGpfn) {
-            if (!r.oom_warned) {
-                sim::warn("%s: guest out of memory growing region %s "
-                          "(footprint trimmed to fit)",
-                          name_.c_str(), r.name.c_str());
-                r.oom_warned = true;
-            }
-            break;
-        }
-        r.pages.push_back(pfn);
+    const std::uint64_t have = r.pages.size();
+    const std::uint64_t va = r.vma_start + have * mem::pageSize;
+    // Chunked growth rounds up: stop at the end of the VMA.
+    const std::uint64_t room =
+        va < vma->end() ? (vma->end() - va) / mem::pageSize : 0;
+    const std::uint64_t want =
+        std::min<std::uint64_t>(mem::bytesToPages(bytes), room);
+    if (want == 0)
+        return;
+    // One resize up front: exact for a fresh region, geometric for
+    // one grown in steps (an exact reserve per step would copy the
+    // vector every time).
+    r.pages.resize(have + want);
+    const std::uint64_t got =
+        as.touchRange(va, want, /*write=*/true, r.pages.data() + have);
+    r.pages.resize(have + got);
+    if (got < want && !r.oom_warned) {
+        sim::warn("%s: guest out of memory growing region %s by %llu "
+                  "pages, %llu granted (footprint trimmed to fit)",
+                  name_.c_str(), r.name.c_str(),
+                  static_cast<unsigned long long>(want),
+                  static_cast<unsigned long long>(got));
+        r.oom_warned = true;
     }
 }
 
@@ -160,23 +166,77 @@ Workload::releaseRegion(Region &r)
     r.vma_start = 0;
 }
 
+namespace {
+
+/**
+ * Resolves region indices to gpfns with the per-page lookups hoisted
+ * out of the loop. A cached gpfn is trusted while its descriptor
+ * still maps this (process, va); otherwise it is refreshed from the
+ * leaf PTE, and a va left unmapped (balloon swap-out) keeps its stale
+ * gpfn. Leaf nodes resolve once per 512 pages through the cursor.
+ */
+class RegionWalk
+{
+  public:
+    RegionWalk(Region &r, guestos::GuestKernel &k,
+               const guestos::AddressSpace &as)
+        : r_(r), pages_(k.pages()), pid_(as.pid()),
+          cursor_(as.pageTable())
+    {
+    }
+
+    guestos::Gpfn
+    page(std::uint64_t idx)
+    {
+        guestos::Gpfn pfn = r_.pages[idx];
+        if (r_.type != guestos::PageType::Anon)
+            return pfn;
+        const std::uint64_t va = r_.vma_start + idx * mem::pageSize;
+        const guestos::PageRef p = pages_.page(pfn);
+        if (!p.allocated() || p.vaddr() != va ||
+            p.owner_process() != pid_) {
+            // Stale: the page was demoted/promoted to a different frame.
+            if (const std::uint64_t *slot = cursor_.present(va)) {
+                pfn = guestos::PageTable::LeafCursor::pfnOf(*slot);
+                r_.pages[idx] = pfn;
+            }
+        }
+        return pfn;
+    }
+
+    /** The hardware access bit plus the software referenced bit. */
+    void
+    mark(std::uint64_t idx, sim::Tick stamp)
+    {
+        guestos::PageRef p = pages_.page(page(idx));
+        p.setPteAccessed(true);
+        p.setReferenced(true);
+        p.setLastTouch(stamp);
+    }
+
+    /** PageTable::touch(vaddr, write) through the held leaf node. */
+    void
+    touchPte(std::uint64_t vaddr, bool write)
+    {
+        if (std::uint64_t *slot = cursor_.present(vaddr))
+            guestos::PageTable::LeafCursor::touch(*slot, write);
+    }
+
+    guestos::PageArray &pages() { return pages_; }
+
+  private:
+    Region &r_;
+    guestos::PageArray &pages_;
+    guestos::ProcessId pid_;
+    guestos::PageTable::LeafCursor cursor_;
+};
+
+} // namespace
+
 guestos::Gpfn
 Workload::regionPage(Region &r, std::uint64_t idx)
 {
-    guestos::Gpfn pfn = r.pages[idx];
-    if (r.type != guestos::PageType::Anon)
-        return pfn;
-    const std::uint64_t va = r.vma_start + idx * mem::pageSize;
-    const guestos::PageRef p = kernel().pageMeta(pfn);
-    if (!p.allocated() || p.vaddr() != va ||
-        p.owner_process() != mainProcess().pid()) {
-        // Stale: the page was demoted/promoted to a different frame.
-        if (auto cur = mainProcess().translate(va)) {
-            r.pages[idx] = *cur;
-            pfn = *cur;
-        }
-    }
-    return pfn;
+    return RegionWalk(r, kernel(), mainProcess()).page(idx);
 }
 
 double
@@ -258,33 +318,70 @@ Workload::markRegionAccessed(Region &r)
     // so the circular walks below wrap with a compare instead of a
     // per-iteration modulo.
     const std::uint64_t size = r.pages.size();
+    const sim::Tick stamp = elapsed_ + 1;
+    RegionWalk walk(r, kernel(), mainProcess());
     std::uint64_t idx = r.window_start;
-    for (std::uint64_t i = 0; i < hot; ++i) {
-        const bool in_core = i >= hot - core;
-        if (in_core || rng_.chance(r.ref_chance)) {
-            guestos::PageRef p = kernel().pageMeta(regionPage(r, idx));
-            p.setPteAccessed(true);
-            p.setReferenced(true);
-            p.setLastTouch(elapsed_ + 1);
+    auto markRun = [&](std::uint64_t count) {
+        for (std::uint64_t i = 0; i < count; ++i) {
+            walk.mark(idx, stamp);
+            if (++idx == size)
+                idx = 0;
         }
-        if (++idx == size)
-            idx = 0;
+    };
+    const std::uint64_t draws = hot - core;
+    if (r.ref_chance >= 1.0) {
+        markRun(draws); // chance() is certain and draws nothing
+    } else if (r.ref_chance <= 0.0) {
+        idx += draws; // chance() is impossible and draws nothing
+        if (idx >= size)
+            idx -= size;
+    } else {
+        // One draw per non-core page, in index order, 64 pages at a
+        // time: the draws fill a hit mask, then only the hits are
+        // marked. Marks read no RNG state, so draws and marks keep
+        // their order, and the per-page branch on a random outcome
+        // becomes a loop over set bits. The generator runs on a local
+        // copy so its state stays in registers across the stores.
+        const std::uint64_t threshold =
+            sim::Rng::chanceThreshold(r.ref_chance);
+        sim::Rng rng = rng_;
+        for (std::uint64_t base = 0; base < draws; base += 64) {
+            const auto len =
+                static_cast<unsigned>(std::min<std::uint64_t>(64, draws - base));
+            std::uint64_t hits = 0;
+            for (unsigned j = 0; j < len; ++j)
+                hits |= std::uint64_t{rng.below(threshold)} << j;
+            // len <= draws <= size, so one wrap covers idx + j.
+            for (; hits != 0; hits &= hits - 1) {
+                std::uint64_t at = idx + std::countr_zero(hits);
+                if (at >= size)
+                    at -= size;
+                walk.mark(at, stamp);
+            }
+            idx += len;
+            if (idx >= size)
+                idx -= size;
+        }
+        rng_ = rng;
     }
+    markRun(core); // the core is touched every phase
 
     // LRU references and leaf-PTE touches are charged on a rotating
     // slice (real kernels see mark_page_accessed() on a subset too).
+    // This second pass cannot fold into the first: the write draw
+    // follows every window draw, and each touch must see the
+    // referenced bits the whole window pass set.
     const std::uint64_t n = std::min<std::uint64_t>(markSlice, hot);
-    auto &as = mainProcess();
     const bool write = rng_.chance(r.write_frac);
     idx = r.window_start + r.mark_cursor;
     if (idx >= size)
         idx -= size; // both terms are < size
     for (std::uint64_t i = 0; i < n; ++i) {
-        const guestos::Gpfn pfn = regionPage(r, idx);
-        const guestos::PageRef p = kernel().pageMeta(pfn);
+        const guestos::Gpfn pfn = walk.page(idx);
+        const std::uint64_t va = walk.pages().page(pfn).vaddr();
         kernel().lruTouch(pfn);
-        if (r.type == guestos::PageType::Anon && p.vaddr() != 0)
-            as.pageTable().touch(p.vaddr(), write);
+        if (r.type == guestos::PageType::Anon && va != 0)
+            walk.touchPte(va, write);
         if (++idx == size)
             idx = 0;
     }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "guestos/buddy_allocator.hh"
@@ -164,5 +165,104 @@ TEST_P(BuddyChurn, RandomTrafficKeepsInvariants)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyChurn,
                          ::testing::Values(1, 7, 42, 1337, 99991));
+
+/** Everything a batch form must leave exactly as the per-page calls. */
+void
+expectSameState(const PageArray &a, const BuddyAllocator &ba,
+                const PageArray &b, const BuddyAllocator &bb)
+{
+    ASSERT_EQ(ba.freePages(), bb.freePages());
+    for (unsigned o = 0; o < BuddyAllocator::maxOrder; ++o) {
+        Gpfn x = ba.freeList(o).head();
+        Gpfn y = bb.freeList(o).head();
+        ASSERT_EQ(ba.freeList(o).size(), bb.freeList(o).size());
+        while (x != invalidGpfn) {
+            ASSERT_EQ(x, y) << "order " << o;
+            x = a.page(x).link_next();
+            y = b.page(y).link_next();
+        }
+    }
+    for (Gpfn pfn = 0; pfn < a.size(); ++pfn) {
+        const PageRef p = a.page(pfn);
+        const PageRef q = b.page(pfn);
+        ASSERT_EQ(p.allocated(), q.allocated()) << pfn;
+        ASSERT_EQ(p.in_buddy(), q.in_buddy()) << pfn;
+        ASSERT_EQ(p.buddy_order(), q.buddy_order()) << pfn;
+        ASSERT_EQ(p.list_id() != noListId, q.list_id() != noListId) << pfn;
+        ASSERT_EQ(p.link_prev(), q.link_prev()) << pfn;
+        ASSERT_EQ(p.link_next(), q.link_next()) << pfn;
+    }
+}
+
+/**
+ * allocBatch/freeBatch against alloc(0)/free(pfn, 0) on twin
+ * allocators fragmented by the same random mixed-order traffic.
+ */
+class BuddyBatch : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(BuddyBatch, BatchesMatchSinglePageCalls)
+{
+    constexpr std::uint64_t span = 1 << 12;
+    PageArray pa(span), pb(span);
+    BuddyAllocator a(pa, 0, span), b(pb, 0, span);
+    a.addFreeRange(0, span);
+    b.addFreeRange(0, span);
+    hos::sim::Rng rng(GetParam());
+    std::vector<std::pair<Gpfn, unsigned>> held;
+    std::vector<Gpfn> batch;
+    for (int step = 0; step < 300; ++step) {
+        const auto kind = rng.uniformInt(4);
+        if (kind == 0) {
+            // Mixed-order traffic keeps the free lists fragmented.
+            const auto order = static_cast<unsigned>(rng.uniformInt(4));
+            const Gpfn x = a.alloc(order);
+            ASSERT_EQ(x, b.alloc(order));
+            if (x != invalidGpfn)
+                held.emplace_back(x, order);
+        } else if (kind == 1) {
+            const std::uint64_t n = 1 + rng.uniformInt(200);
+            batch.assign(n, invalidGpfn);
+            const std::uint64_t got = a.allocBatch(n, batch.data());
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const Gpfn y = b.alloc(0);
+                ASSERT_EQ(i < got ? batch[i] : invalidGpfn, y);
+                if (y == invalidGpfn)
+                    break;
+                held.emplace_back(y, 0);
+            }
+        } else if (!held.empty()) {
+            // Free a random mix: order-0 pages in a batch, in an order
+            // that is mostly ascending runs with some shuffling.
+            batch.clear();
+            const std::uint64_t n = 1 + rng.uniformInt(held.size());
+            for (std::uint64_t i = 0; i < n && !held.empty(); ++i) {
+                const auto idx = kind == 2 ? held.size() - 1
+                                           : rng.uniformInt(held.size());
+                const auto [pfn, order] = held[idx];
+                held[idx] = held.back();
+                held.pop_back();
+                if (order == 0) {
+                    batch.push_back(pfn);
+                } else {
+                    a.free(pfn, order);
+                    b.free(pfn, order);
+                }
+            }
+            std::sort(batch.begin(), batch.end());
+            if (batch.size() > 4)
+                std::swap(batch[1], batch[batch.size() - 2]);
+            a.freeBatch(batch.data(), batch.size());
+            for (Gpfn pfn : batch)
+                b.free(pfn, 0);
+        }
+        expectSameState(pa, a, pb, b);
+    }
+    a.checkInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BuddyBatch,
+                         ::testing::Values(3, 11, 2024));
 
 } // namespace

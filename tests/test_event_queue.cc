@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -199,6 +200,25 @@ TEST(EventQueue, ClearDropsPending)
     q.runUntil(100);
     EXPECT_FALSE(fired);
     EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, PeriodicActionIsFreedWithTheQueue)
+{
+    auto sentinel = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        q.schedulePeriodic(10, [sentinel](Duration p) {
+            ++*sentinel;
+            return p;
+        });
+        q.schedulePeriodic(15, [sentinel](Duration) -> Duration {
+            return 0; // stops after one firing
+        });
+        q.runUntil(100);
+        EXPECT_EQ(*sentinel, 10);
+        EXPECT_GT(sentinel.use_count(), 1);
+    }
+    EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 } // namespace

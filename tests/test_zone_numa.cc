@@ -83,15 +83,16 @@ TEST(NumaNode, AllocationPrefersPrimaryZone)
         auto &z = slow.zone(zi);
         z.buddy().addFreeRange(z.base(), z.spanPages());
     }
-    const Gpfn pfn = slow.allocBlock(0);
+    Gpfn pfn = invalidGpfn;
+    ASSERT_EQ(slow.allocBatch(1, &pfn), 1u);
     EXPECT_TRUE(slow.primaryZone().containsGpfn(pfn))
         << "DMA zone is spared until Normal runs dry";
 
     // Drain Normal; allocation falls through to DMA.
     while (slow.primaryZone().freePages() > 0)
         slow.primaryZone().buddy().alloc(0);
-    const Gpfn dma = slow.allocBlock(0);
-    ASSERT_NE(dma, invalidGpfn);
+    Gpfn dma = invalidGpfn;
+    ASSERT_EQ(slow.allocBatch(1, &dma), 1u);
     EXPECT_TRUE(slow.zone(0).containsGpfn(dma));
 }
 
@@ -116,10 +117,13 @@ TEST(NumaNode, FreeBlockReturnsToOwningZone)
         z.buddy().addFreeRange(z.base(), z.spanPages());
     }
     const auto free_before = slow.freePages();
-    const Gpfn pfn = slow.allocBlock(3);
-    EXPECT_EQ(slow.freePages(), free_before - 8);
-    slow.freeBlock(pfn, 3);
+    // One page from each zone: the batch splits into per-zone runs.
+    Gpfn pfns[2] = {invalidGpfn, slow.zone(0).buddy().alloc(0)};
+    ASSERT_EQ(slow.allocBatch(1, &pfns[0]), 1u);
+    EXPECT_EQ(slow.freePages(), free_before - 2);
+    slow.freeBatch(pfns, 2);
     EXPECT_EQ(slow.freePages(), free_before);
+    EXPECT_EQ(slow.zone(0).freePages(), slow.zone(0).managedPages());
 }
 
 } // namespace
