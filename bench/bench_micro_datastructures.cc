@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the hot data structures: the
  * buddy allocator, per-CPU lists, page-table map/scan, LRU churn,
- * the slab allocator, and the region path's range fault-in and
- * munmap. These guard the simulator's own
+ * the slab allocator, the region path's range fault-in and munmap,
+ * and the page cache's fill, eviction and remap. These guard the
+ * simulator's own
  * performance (the benches sweep thousands of runs).
  */
 
@@ -299,5 +300,59 @@ BM_MunmapRange(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * RegionGuest::regionPages);
 }
 BENCHMARK(BM_MunmapRange)->Iterations(200);
+
+/** `coordinated`'s shard: a file of 3379 pages, read cold. */
+constexpr std::uint64_t shardPages = 3379;
+
+/** Evict every cached page of the shard file. */
+void
+dropFile(PageCache &pc, FileId file)
+{
+    for (std::uint64_t idx = 0; idx < shardPages; ++idx) {
+        const Gpfn pfn = pc.lookup(file, idx);
+        if (pfn != invalidGpfn)
+            pc.evictPage(pfn);
+    }
+}
+
+void
+BM_PageCacheColdFill(benchmark::State &state)
+{
+    RegionGuest g;
+    PageCache &pc = g.kernel->pageCache();
+    const FileId file = pc.createFile(shardPages * mem::pageSize);
+    for (auto _ : state) {
+        // Offset 0 never follows the previous read: no read-ahead.
+        benchmark::DoNotOptimize(
+            pc.read(file, 0, shardPages * mem::pageSize));
+        state.PauseTiming();
+        dropFile(pc, file);
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * shardPages);
+}
+BENCHMARK(BM_PageCacheColdFill);
+
+void
+BM_PageCacheEvictRemap(benchmark::State &state)
+{
+    RegionGuest g;
+    PageCache &pc = g.kernel->pageCache();
+    HeteroLru &lru = g.kernel->heteroLru();
+    const FileId file = pc.createFile(shardPages * mem::pageSize);
+    for (auto _ : state) {
+        state.PauseTiming();
+        const std::vector<Gpfn> filled =
+            pc.read(file, 0, shardPages * mem::pageSize).pages;
+        state.ResumeTiming();
+        // Demote every other page (a remap to a SlowMem frame), then
+        // evict the whole file.
+        for (std::size_t i = 0; i < filled.size(); i += 2)
+            lru.demotePage(filled[i]);
+        dropFile(pc, file);
+    }
+    state.SetItemsProcessed(state.iterations() * shardPages * 3 / 2);
+}
+BENCHMARK(BM_PageCacheEvictRemap);
 
 } // namespace

@@ -332,6 +332,77 @@ auditKernel(guestos::GuestKernel &kernel)
         }
     }
 
+    r.merge(auditPageCache(kernel));
+    return r;
+}
+
+AuditResult
+auditPageCache(guestos::GuestKernel &kernel)
+{
+    AuditResult r;
+    const PageArray &pages = kernel.pages();
+    const guestos::PageCache &cache = kernel.pageCache();
+    const std::string where = kernel.name() + ".page_cache";
+
+    // Index -> page: each entry names a live cache page that says so.
+    std::uint64_t indexed = 0;
+    std::uint64_t dirty = 0;
+    for (guestos::FileId f = 0; f < cache.numFiles(); ++f) {
+        cache.forEachCached(f, [&](std::uint64_t idx, Gpfn pfn) {
+            ++indexed;
+            r.checks += 2;
+            if (pfn >= pages.size()) {
+                r.addFailure(CheckKind::PageCache, pfn, where,
+                             "index entry points past the page array");
+                return;
+            }
+            const PageRef p = pages.page(pfn);
+            if (!p.allocated() || (p.type() != PageType::PageCache &&
+                                   p.type() != PageType::BufferCache)) {
+                r.addFailure(CheckKind::PageCache, pfn, where,
+                             "index entry names a page that is not an "
+                             "allocated cache page");
+            }
+            if (p.cache_file() != f || p.cache_index() != idx) {
+                r.addFailure(CheckKind::PageCache, pfn, where,
+                             "page of file " + std::to_string(f) +
+                                 " index " + std::to_string(idx) +
+                                 " does not point back at its entry");
+            }
+            if (p.dirty())
+                ++dirty;
+        });
+    }
+
+    // Page -> index: a page carrying a file is that file's entry.
+    for (Gpfn pfn = 0; pfn < pages.size(); ++pfn) {
+        const PageRef p = pages.page(pfn);
+        if (p.cache_file() == guestos::noFile)
+            continue;
+        ++r.checks;
+        if (p.cache_file() >= cache.numFiles() ||
+            cache.lookup(p.cache_file(), p.cache_index()) != pfn) {
+            r.addFailure(CheckKind::PageCache, pfn, where,
+                         "page carries file " +
+                             std::to_string(p.cache_file()) + " index " +
+                             std::to_string(p.cache_index()) +
+                             " but is not indexed there");
+        }
+    }
+
+    r.checks += 2;
+    if (indexed != cache.cachedPages()) {
+        r.addFailure(CheckKind::PageCache, invalidSubject, where,
+                     "cachedPages() " +
+                         std::to_string(cache.cachedPages()) +
+                         " != indexed pages " + std::to_string(indexed));
+    }
+    if (dirty != cache.dirtyPages()) {
+        r.addFailure(CheckKind::PageCache, invalidSubject, where,
+                     "dirtyPages() " + std::to_string(cache.dirtyPages()) +
+                         " != dirty indexed pages " +
+                         std::to_string(dirty));
+    }
     return r;
 }
 

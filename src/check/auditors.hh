@@ -69,10 +69,18 @@ AuditResult auditList(const guestos::PageArray &pages,
 
 /**
  * Full guest-kernel audit: buddy free lists and accounting, per-CPU
- * caches, zone LRUs, per-page state over every node span, and the
- * managed = free + cached + allocated identity.
+ * caches, zone LRUs, per-page state over every node span, the
+ * managed = free + cached + allocated identity, and the page cache.
  */
 AuditResult auditKernel(guestos::GuestKernel &kernel);
+
+/**
+ * Page-cache audit (part of auditKernel): every index entry names an
+ * allocated PageCache/BufferCache page whose reverse map points back
+ * at that entry, no other page carries a file, and cachedPages() and
+ * dirtyPages() match a recount.
+ */
+AuditResult auditPageCache(guestos::GuestKernel &kernel);
 
 /**
  * Reconcile the kernel's StatRegistry gauges against live zone

@@ -34,9 +34,10 @@ enum class CheckKind : std::uint8_t {
     Prof,           ///< profiler span stack imbalance (hos::prof)
     Xray,           ///< xray shadow state disagrees with page truth
     Metrics,        ///< metrics aggregates disagree with kernel truth
+    PageCache,      ///< page-cache index vs page reverse map drift
 };
 
-constexpr std::size_t numCheckKinds = 11;
+constexpr std::size_t numCheckKinds = 12;
 
 constexpr const char *
 checkKindName(CheckKind k)
@@ -64,6 +65,8 @@ checkKindName(CheckKind k)
         return "xray";
       case CheckKind::Metrics:
         return "metrics";
+      case CheckKind::PageCache:
+        return "page-cache";
     }
     return "?";
 }

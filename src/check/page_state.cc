@@ -74,6 +74,12 @@ failFree(const PageRef &p, const char *where)
         fail(CheckKind::PageState, p.pfn(), where,
              "freeing a page with I/O in flight");
     }
+    if (p.cache_file() != guestos::noFile) {
+        fail(CheckKind::PageState, p.pfn(), where,
+             "freeing a page still indexed as page " +
+                 std::to_string(p.cache_index()) + " of file " +
+                 std::to_string(p.cache_file()));
+    }
 }
 
 void

@@ -75,13 +75,17 @@ validateAlloc(const guestos::PageRef &p, guestos::PageType to,
     }
 }
 
-/** A page entering the free path (must be live and off every list). */
+/**
+ * A page entering the free path (must be live, off every list and out
+ * of the page-cache index).
+ */
 inline void
 validateFree(const guestos::PageRef &p, const char *where)
 {
     if (!p.allocated() || p.in_buddy() ||
         p.lru() != guestos::LruState::None ||
-        p.on_list() != guestos::listNone || p.under_io()) {
+        p.on_list() != guestos::listNone || p.under_io() ||
+        p.cache_file() != guestos::noFile) {
         failFree(p, where);
     }
 }

@@ -69,9 +69,15 @@ HeteroLru::demotePage(Gpfn pfn)
         slow = kernel_.nodeFor(mem::MemType::SlowMem);
     if (!slow)
         return 0;
+    // Whether the target can supply a page, decided once up front:
+    // under sustained pressure it usually cannot, and the work before
+    // the allocation (the page-table walk) would be thrown away.
+    const bool can_alloc = kernel_.canAllocOnNode(slow->id());
 
     switch (p.type()) {
       case PageType::Anon: {
+        if (!can_alloc)
+            return 0;
         // Must still be mapped; the owner's PTE gets remapped.
         if (p.owner_process() == noProcess ||
             !kernel_.hasProcess(p.owner_process())) {
@@ -84,8 +90,8 @@ HeteroLru::demotePage(Gpfn pfn)
 
         const Gpfn dst =
             kernel_.allocPageOnNode(slow->id(), p.type());
-        if (dst == invalidGpfn)
-            return 0;
+        hos_assert(dst != invalidGpfn, "node %u refused a page it had",
+                   slow->id());
         PageRef d = kernel_.pageMeta(dst);
         d.setOwnerProcess(p.owner_process());
         d.setVaddr(p.vaddr());
@@ -116,9 +122,7 @@ HeteroLru::demotePage(Gpfn pfn)
         if (p.dirty())
             return 0; // write back first; the flusher will get to it
 
-        const Gpfn dst =
-            kernel_.allocPageOnNode(slow->id(), p.type());
-        if (dst == invalidGpfn) {
+        if (!can_alloc) {
             // No SlowMem either: drop the clean page entirely. The
             // LRU membership is released by evictPage -> freeIoPage.
             if (cache.evictPage(pfn)) {
@@ -127,6 +131,10 @@ HeteroLru::demotePage(Gpfn pfn)
             }
             return 0;
         }
+        const Gpfn dst =
+            kernel_.allocPageOnNode(slow->id(), p.type());
+        hos_assert(dst != invalidGpfn, "node %u refused a page it had",
+                   slow->id());
         cache.remapPage(pfn, dst);
         if (p.lru() != LruState::None)
             kernel_.lruRemove(pfn);

@@ -491,17 +491,25 @@ GuestKernel::onPageTablePages(std::int64_t delta)
 
 // --- PageCacheBacking -------------------------------------------------
 
-Gpfn
-GuestKernel::allocIoPage(PageType type, MemHint hint)
+void
+GuestKernel::allocIoPages(PageType type, MemHint hint, std::uint64_t n,
+                          IoPageSink &sink)
 {
     AllocRequest req;
     req.type = type;
     req.hint = hint;
-    const Gpfn pfn = allocator_->allocPage(req);
-    if (pfn == invalidGpfn)
-        return invalidGpfn;
-    lruAdd(pfn);
-    return pfn;
+    const AllocTelemetry tel = AllocTelemetry::current();
+    Zone *zone = nullptr; // the last page's zone, usually the next one's
+    for (std::uint64_t i = 0; i < n; ++i) {
+        // allocPage stamps no owner and vaddr 0: cache pages have none.
+        const Gpfn pfn = allocator_->allocPage(req, tel);
+        if (pfn != invalidGpfn) {
+            if (!zone || !zone->containsGpfn(pfn))
+                zone = &zoneOf(pfn);
+            zone->lru().addPage(pfn);
+        }
+        sink.fillIoPage(pfn);
+    }
 }
 
 void

@@ -181,6 +181,17 @@ class GuestKernel final : public MmBacking,
     Gpfn allocPageOnNode(unsigned node_id, PageType type,
                          unsigned cpu = 0);
 
+    /**
+     * Whether allocPageOnNode(node_id, ·, cpu) would find a page: the
+     * cpu's cache for the node or the node's buddy is non-empty. O(1),
+     * so callers can skip the work around a doomed allocation.
+     */
+    bool canAllocOnNode(unsigned node_id, unsigned cpu = 0)
+    {
+        return !percpu_->cacheList(cpu, node_id).empty() ||
+               node(node_id).freePages() > 0;
+    }
+
     // --- Balloon bookkeeping --------------------------------------
     /** Pop up to n unpopulated gpfns of a node for the balloon. */
     std::vector<Gpfn> takeUnpopulatedGpfns(unsigned node_id,
@@ -281,7 +292,8 @@ class GuestKernel final : public MmBacking,
     void onPageTablePages(std::int64_t delta) override;
 
     // --- PageCacheBacking ---------------------------------------------
-    Gpfn allocIoPage(PageType type, MemHint hint) override;
+    void allocIoPages(PageType type, MemHint hint, std::uint64_t n,
+                      IoPageSink &sink) override;
     void freeIoPage(Gpfn pfn) override;
     void touchIoPage(Gpfn pfn, bool write) override;
     void onIoComplete(const std::vector<Gpfn> &pages,

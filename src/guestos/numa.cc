@@ -72,10 +72,14 @@ std::uint64_t
 NumaNode::allocBatch(std::uint64_t n, Gpfn *out)
 {
     // A zone that fails once stays empty for the rest of the batch,
-    // so draining the zones in turn is n single-page allocations.
+    // so draining the zones in turn is n single-page allocations. An
+    // empty zone is skipped without a walk of its free lists.
     std::uint64_t got = 0;
-    for (auto it = zones_.rbegin(); it != zones_.rend() && got < n; ++it)
-        got += (*it)->buddy().allocBatch(n - got, out + got);
+    for (auto it = zones_.rbegin(); it != zones_.rend() && got < n; ++it) {
+        BuddyAllocator &buddy = (*it)->buddy();
+        if (buddy.freePages() > 0)
+            got += buddy.allocBatch(n - got, out + got);
+    }
     return got;
 }
 

@@ -15,8 +15,9 @@
  *    trackers stream through;
  *  - warm bookkeeping (list links, node/type identity, LRU flags)
  *    packs into a 24-byte Meta record;
- *  - the cold reverse-map hint (owner process, vaddr) sits in its own
- *    column so allocator and LRU traffic never drags it into cache.
+ *  - the cold reverse map (owner process and vaddr, or file and file
+ *    page index for page-cache pages) sits in its own column so
+ *    allocator and LRU traffic never drags it into cache.
  *
  * Call sites access pages through PageRef, a 16-byte value handle
  * whose accessors deliberately mirror the retired struct Page field
@@ -54,6 +55,10 @@ constexpr Gpfn invalidGpfn = ~Gpfn(0);
 /** Identifies a guest process. */
 using ProcessId = std::uint32_t;
 constexpr ProcessId noProcess = ~ProcessId(0);
+
+/** Identifies a simulated file in the guest filesystem. */
+using FileId = std::uint32_t;
+constexpr FileId noFile = ~FileId(0);
 
 /** Which LRU list a page sits on. */
 enum class LruState : std::uint8_t {
@@ -208,12 +213,20 @@ class PageArray
     };
     static_assert(sizeof(Meta) == 24, "warm column grew past 24 bytes");
 
-    /** Cold reverse-map hint (single mapping; workloads don't share). */
+    /**
+     * Cold reverse map (single mapping; workloads don't share). Like
+     * Linux's page->mapping/page->index, one slot serves both kinds
+     * of page: an anon page keeps its user vaddr there, a page-cache
+     * page (cache_file != noFile) its file page index. Cache pages
+     * have no vaddr.
+     */
     struct Rmap
     {
         ProcessId owner_process = noProcess;
-        std::uint64_t vaddr = 0;
+        FileId cache_file = noFile; ///< the page cache's file, or none
+        std::uint64_t vaddr = 0;    ///< or the file page index
     };
+    static_assert(sizeof(Rmap) == 16, "cold column grew past 16 bytes");
 
     enum MetaFlag : std::uint8_t {
         flagInBuddy = 1u << 0,    ///< heads a free buddy block
@@ -327,8 +340,27 @@ class PageRef
     {
         pa_->rmap_[pfn_].owner_process = p;
     }
-    std::uint64_t vaddr() const { return pa_->rmap_[pfn_].vaddr; }
+    /** The user vaddr; 0 for a page-cache page, which has none. */
+    std::uint64_t vaddr() const
+    {
+        const PageArray::Rmap &r = pa_->rmap_[pfn_];
+        return r.cache_file == noFile ? r.vaddr : 0;
+    }
     void setVaddr(std::uint64_t v) { pa_->rmap_[pfn_].vaddr = v; }
+
+    // Page-cache index (Linux's page->mapping/page->index): written
+    // by the PageCache only, and by fault injection in the check tests.
+    /** The file caching this page; noFile when it is not cached. */
+    FileId cache_file() const { return pa_->rmap_[pfn_].cache_file; }
+    /** The page's index in cache_file() (meaningless when uncached). */
+    std::uint64_t cache_index() const { return pa_->rmap_[pfn_].vaddr; }
+    /** Index the page as page `index` of `file`; noFile clears it. */
+    void setCacheFile(FileId file, std::uint64_t index)
+    {
+        PageArray::Rmap &r = pa_->rmap_[pfn_];
+        r.cache_file = file;
+        r.vaddr = index;
+    }
 
     // Hotness ground truth for trackers to harvest.
     bool pte_accessed() const

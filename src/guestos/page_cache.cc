@@ -16,7 +16,8 @@ PageCache::PageCache(PageArray &pages, PageCacheBacking &backing,
 FileId
 PageCache::createFile(std::uint64_t size_bytes)
 {
-    files_.push_back(FileMeta{size_bytes, ~std::uint64_t(0), {}});
+    FileMeta &meta = files_.emplace_back();
+    meta.size = size_bytes;
     return static_cast<FileId>(files_.size() - 1);
 }
 
@@ -27,60 +28,119 @@ PageCache::fileSize(FileId file) const
     return files_[file].size;
 }
 
+const Gpfn *
+PageCache::slot(const FileMeta &meta, std::uint64_t idx)
+{
+    const std::uint64_t c = idx >> indexChunkShift;
+    if (c >= meta.index.size() || !meta.index[c])
+        return nullptr;
+    return &(*meta.index[c])[idx & (indexChunkPages - 1)];
+}
+
+Gpfn
+PageCache::lookup(FileId file, std::uint64_t page_index) const
+{
+    hos_assert(file < files_.size(), "unknown file");
+    const Gpfn *s = slot(files_[file], page_index);
+    return s ? *s : invalidGpfn;
+}
+
+Gpfn &
+PageCache::entryOf(const PageRef &p)
+{
+    const std::uint64_t idx = p.cache_index();
+    return (*files_[p.cache_file()].index[idx >> indexChunkShift])
+        [idx & (indexChunkPages - 1)];
+}
+
+void
+PageCache::insert(FileMeta &meta, FileId file, std::uint64_t idx, Gpfn pfn)
+{
+    const std::uint64_t c = idx >> indexChunkShift;
+    if (c >= meta.index.size())
+        meta.index.resize(c + 1);
+    if (!meta.index[c]) {
+        meta.index[c] = std::make_unique<IndexChunk>();
+        meta.index[c]->fill(invalidGpfn);
+    }
+    (*meta.index[c])[idx & (indexChunkPages - 1)] = pfn;
+    pages_.page(pfn).setCacheFile(file, idx);
+    ++cached_count_;
+}
+
 void
 PageCache::populate(FileMeta &meta, FileId file, std::uint64_t first_page,
                     std::uint64_t last_page, MemHint hint, IoResult &res,
                     bool for_write)
 {
-    // Collect the missing page indexes, then fetch them as one run
-    // (the device model rewards sequential transfers).
-    std::vector<std::uint64_t> missing;
+    // Hits first, in index order; then the missing pages are filled
+    // as one run (the device model rewards sequential transfers).
+    missing_.clear();
     for (std::uint64_t idx = first_page; idx <= last_page; ++idx) {
-        auto it = meta.by_index_.find(idx);
-        if (it != meta.by_index_.end()) {
+        const Gpfn *s = slot(meta, idx);
+        if (s && *s != invalidGpfn) {
             hits_.inc();
-            backing_.touchIoPage(it->second, for_write);
-            res.pages.push_back(it->second);
+            backing_.touchIoPage(*s, for_write);
+            res.pages.push_back(*s);
         } else {
-            missing.push_back(idx);
+            missing_.push_back(idx);
         }
     }
     res.pages_touched += last_page - first_page + 1;
 
-    if (missing.empty())
+    if (missing_.empty())
         return;
 
-    std::vector<Gpfn> filled;
-    for (std::uint64_t idx : missing) {
-        const Gpfn pfn = backing_.allocIoPage(PageType::PageCache, hint);
-        if (pfn == invalidGpfn) {
-            // Out of memory for cache pages: serve the rest directly
-            // from disk without caching (uncommon; accounted as a
-            // miss each time).
-            misses_.inc();
-            res.pages_missed += 1;
-            if (!for_write)
-                res.disk_time += disk_.read(mem::pageSize, false);
-            continue;
-        }
-        meta.by_index_.emplace(idx, pfn);
-        reverse_.emplace(pfn, ReverseEntry{file, idx});
-        pages_.page(pfn).setUnderIo(true);
-        filled.push_back(pfn);
-        res.pages.push_back(pfn);
-        misses_.inc();
-        res.pages_missed += 1;
-    }
+    // Each page is indexed and under I/O before the next allocation,
+    // so reclaim run by the allocator mid-fill cannot take it.
+    struct Fill final : IoPageSink
+    {
+        PageCache &pc;
+        FileMeta &meta;
+        FileId file;
+        const std::uint64_t *next_idx;
+        IoResult &res;
+        bool for_write;
 
-    if (!filled.empty()) {
+        Fill(PageCache &pc, FileMeta &meta, FileId file,
+             const std::uint64_t *idx, IoResult &res, bool for_write)
+            : pc(pc), meta(meta), file(file), next_idx(idx), res(res),
+              for_write(for_write)
+        {
+        }
+
+        void
+        fillIoPage(Gpfn pfn) override
+        {
+            const std::uint64_t idx = *next_idx++;
+            pc.misses_.inc();
+            res.pages_missed += 1;
+            if (pfn == invalidGpfn) {
+                // Out of memory for cache pages: serve this page
+                // directly from disk without caching (uncommon).
+                if (!for_write)
+                    res.disk_time += pc.disk_.read(mem::pageSize, false);
+                return;
+            }
+            pc.insert(meta, file, idx, pfn);
+            pc.pages_.page(pfn).setUnderIo(true);
+            pc.filled_.push_back(pfn);
+            res.pages.push_back(pfn);
+        }
+    };
+    filled_.clear();
+    Fill fill(*this, meta, file, missing_.data(), res, for_write);
+    backing_.allocIoPages(PageType::PageCache, hint, missing_.size(), fill);
+
+    if (!filled_.empty()) {
         if (!for_write) {
             // One transfer for the whole run; runs of >= 8 pages are
             // treated as sequential.
-            const bool seq = filled.size() >= 8;
+            const bool seq = filled_.size() >= 8;
             res.disk_time +=
-                disk_.read(filled.size() * mem::pageSize, seq);
+                disk_.read(filled_.size() * mem::pageSize, seq);
         }
-        for (Gpfn pfn : filled) {
+        for (Gpfn pfn : filled_) {
             PageRef p = pages_.page(pfn);
             p.setUnderIo(false);
             if (for_write) {
@@ -91,7 +151,7 @@ PageCache::populate(FileMeta &meta, FileId file, std::uint64_t first_page,
                 }
             }
         }
-        backing_.onIoComplete(filled,
+        backing_.onIoComplete(filled_,
                               PageCacheBacking::IoKind::ReadFill);
     }
 }
@@ -154,18 +214,17 @@ PageCache::mapPage(FileId file, std::uint64_t offset, MemHint hint,
     FileMeta &meta = files_[file];
     const std::uint64_t idx = offset / mem::pageSize;
 
-    auto it = meta.by_index_.find(idx);
-    if (it != meta.by_index_.end()) {
+    if (const Gpfn *s = slot(meta, idx); s && *s != invalidGpfn) {
         hits_.inc();
-        backing_.touchIoPage(it->second, false);
-        return it->second;
+        backing_.touchIoPage(*s, false);
+        return *s;
     }
 
     IoResult res;
     populate(meta, file, idx, idx, hint, res, false);
     io_time += res.disk_time;
-    auto again = meta.by_index_.find(idx);
-    return again == meta.by_index_.end() ? invalidGpfn : again->second;
+    const Gpfn *s = slot(meta, idx);
+    return s ? *s : invalidGpfn;
 }
 
 sim::Duration
@@ -197,15 +256,15 @@ PageCache::writeback(std::uint64_t max_pages)
 bool
 PageCache::evictPage(Gpfn pfn)
 {
-    auto it = reverse_.find(pfn);
-    hos_assert(it != reverse_.end(), "evicting a non-cache page");
-    const PageRef p = pages_.page(pfn);
+    PageRef p = pages_.page(pfn);
+    hos_assert(p.cache_file() != noFile, "evicting a non-cache page");
     if (p.dirty() || p.under_io())
         return false;
 
-    FileMeta &meta = files_[it->second.file];
-    meta.by_index_.erase(it->second.page_index);
-    reverse_.erase(it);
+    entryOf(p) = invalidGpfn;
+    p.setCacheFile(noFile, 0);
+    hos_assert(cached_count_ > 0, "cached count underflow");
+    --cached_count_;
     backing_.freeIoPage(pfn);
     return true;
 }
@@ -213,17 +272,13 @@ PageCache::evictPage(Gpfn pfn)
 void
 PageCache::remapPage(Gpfn old_pfn, Gpfn new_pfn)
 {
-    auto it = reverse_.find(old_pfn);
-    hos_assert(it != reverse_.end(), "remapping a non-cache page");
-    const ReverseEntry entry = it->second;
-    reverse_.erase(it);
-
-    FileMeta &meta = files_[entry.file];
-    meta.by_index_[entry.page_index] = new_pfn;
-    reverse_.emplace(new_pfn, entry);
-
     PageRef oldp = pages_.page(old_pfn);
     PageRef newp = pages_.page(new_pfn);
+    hos_assert(oldp.cache_file() != noFile, "remapping a non-cache page");
+    entryOf(oldp) = new_pfn;
+    newp.setCacheFile(oldp.cache_file(), oldp.cache_index());
+    oldp.setCacheFile(noFile, 0);
+
     newp.setDirty(oldp.dirty());
     newp.setUnderIo(oldp.under_io());
     if (oldp.dirty()) {
@@ -232,12 +287,6 @@ PageCache::remapPage(Gpfn old_pfn, Gpfn new_pfn)
         oldp.setDirty(false);
         dirty_fifo_.push_back(new_pfn);
     }
-}
-
-bool
-PageCache::owns(Gpfn pfn) const
-{
-    return reverse_.count(pfn) > 0;
 }
 
 } // namespace hos::guestos

@@ -9,14 +9,20 @@
  * offset) -> gpfn, reads ahead on sequential access, buffers dirty
  * pages, and exposes the I/O-completion hook HeteroOS-LRU uses for
  * eager FastMem eviction (Section 3.3, rule 2).
+ *
+ * The index lives where Linux keeps it: each cached page records its
+ * file and page index in the page array (page->mapping/page->index),
+ * and each file maps page index -> gpfn through a two-level table of
+ * 512-entry chunks, allocated on first insert.
  */
 
 #ifndef HOS_GUESTOS_PAGE_CACHE_HH
 #define HOS_GUESTOS_PAGE_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "guestos/blockdev.hh"
@@ -26,14 +32,36 @@
 
 namespace hos::guestos {
 
+/** Receives the pages PageCacheBacking::allocIoPages hands out. */
+class IoPageSink
+{
+  public:
+    /**
+     * The next page of the fill: a fresh cache page already on the
+     * LRU, or invalidGpfn when its allocation failed. Called as each
+     * page is allocated, before the next one is, so whatever the
+     * allocator runs in between (reclaim, balloon) sees it indexed.
+     */
+    virtual void fillIoPage(Gpfn pfn) = 0;
+
+  protected:
+    ~IoPageSink() = default;
+};
+
 /** Services the page cache needs from the kernel. */
 class PageCacheBacking
 {
   public:
     virtual ~PageCacheBacking() = default;
 
-    /** Allocate a cache page (PageCache or BufferCache type). */
-    virtual Gpfn allocIoPage(PageType type, MemHint hint) = 0;
+    /**
+     * Allocate `n` cache pages (PageCache or BufferCache type), one
+     * placement decision per page in order, handing each to `sink`.
+     * A failed allocation reaches the sink as invalidGpfn and the
+     * fill goes on.
+     */
+    virtual void allocIoPages(PageType type, MemHint hint,
+                              std::uint64_t n, IoPageSink &sink) = 0;
 
     /** Free a cache page evicted from the cache entirely. */
     virtual void freeIoPage(Gpfn pfn) = 0;
@@ -127,27 +155,62 @@ class PageCache
     void remapPage(Gpfn old_pfn, Gpfn new_pfn);
 
     /** Is this gpfn a page-cache page? */
-    bool owns(Gpfn pfn) const;
+    bool owns(Gpfn pfn) const
+    {
+        return pages_.page(pfn).cache_file() != noFile;
+    }
 
-    std::uint64_t cachedPages() const { return reverse_.size(); }
+    std::uint64_t cachedPages() const { return cached_count_; }
     std::uint64_t dirtyPages() const { return dirty_count_; }
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
+    /** Files created so far; ids run from 0. */
+    std::uint64_t numFiles() const { return files_.size(); }
+
+    /** The page caching page `page_index` of `file`, or invalidGpfn. */
+    Gpfn lookup(FileId file, std::uint64_t page_index) const;
+
+    /** fn(page_index, pfn) per cached page of `file`, in index order. */
+    template <typename Fn>
+    void
+    forEachCached(FileId file, Fn &&fn) const
+    {
+        hos_assert(file < files_.size(), "unknown file");
+        const auto &index = files_[file].index;
+        for (std::uint64_t c = 0; c < index.size(); ++c) {
+            if (!index[c])
+                continue;
+            for (std::uint64_t i = 0; i < indexChunkPages; ++i) {
+                const Gpfn pfn = (*index[c])[i];
+                if (pfn != invalidGpfn)
+                    fn((c << indexChunkShift) + i, pfn);
+            }
+        }
+    }
+
+    /**
+     * Pages queued for writeback, oldest first. Entries go stale
+     * (evicted, remapped or already cleaned) and are skipped when
+     * popped.
+     */
+    const std::deque<Gpfn> &dirtyQueue() const { return dirty_fifo_; }
+
   private:
+    /** log2 entries per index chunk (512 pages = 2 MiB of file). */
+    static constexpr unsigned indexChunkShift = 9;
+    static constexpr std::uint64_t indexChunkPages = std::uint64_t(1)
+                                                     << indexChunkShift;
+    using IndexChunk = std::array<Gpfn, indexChunkPages>;
+
     struct FileMeta
     {
         std::uint64_t size = 0;
         /** sequential-pattern detector; ~0 = no read yet */
         std::uint64_t last_read_end = ~std::uint64_t(0);
-        std::unordered_map<std::uint64_t, Gpfn> by_index_; ///< page idx -> gpfn
-    };
-
-    struct ReverseEntry
-    {
-        FileId file;
-        std::uint64_t page_index;
+        /** page index -> gpfn; chunks allocated on first insert */
+        std::vector<std::unique_ptr<IndexChunk>> index;
     };
 
     /** Ensure pages [first, last] of file are cached; report misses. */
@@ -155,14 +218,25 @@ class PageCache
                   std::uint64_t last_page, MemHint hint, IoResult &res,
                   bool for_write);
 
+    /** The index slot of page `idx`; null when its chunk is absent. */
+    static const Gpfn *slot(const FileMeta &meta, std::uint64_t idx);
+    /** Index `pfn` as page `idx` of `file`, in the table and the page. */
+    void insert(FileMeta &meta, FileId file, std::uint64_t idx, Gpfn pfn);
+    /** The index entry naming a cached page. */
+    Gpfn &entryOf(const PageRef &p);
+
     PageArray &pages_;
     PageCacheBacking &backing_;
     BlockDevice &disk_;
     unsigned readahead_pages_;
     std::vector<FileMeta> files_;
-    std::unordered_map<Gpfn, ReverseEntry> reverse_;
     std::deque<Gpfn> dirty_fifo_;
+    std::uint64_t cached_count_ = 0;
     std::uint64_t dirty_count_ = 0;
+    // populate() buffers. It never re-enters: nothing the allocator
+    // runs mid-fill (reclaim, balloon) reads or fills the cache.
+    std::vector<std::uint64_t> missing_;
+    std::vector<Gpfn> filled_;
     sim::Counter hits_;
     sim::Counter misses_;
 };

@@ -78,6 +78,13 @@ class PerCpuPageLists
     }
 
     std::uint64_t fastPathHits() const { return hits_.value(); }
+    /**
+     * Times alloc() found the cache empty and asked the buddy for a
+     * batch, including asks the buddy could not serve. Demotions
+     * check GuestKernel::canAllocOnNode() first and make no doomed
+     * ask, so this counts real refill attempts. Host-side only: no
+     * simulated result or report reads it.
+     */
     std::uint64_t refills() const { return refills_.value(); }
 
     /** Read-only view of one (cpu, node) cache (audit walkers). */

@@ -16,14 +16,11 @@
 #include <cstdint>
 #include <string>
 
+#include "guestos/page.hh"
 #include "guestos/page_types.hh"
 #include "mem/mem_spec.hh"
 
 namespace hos::guestos {
-
-/** Identifies a simulated file in the guest filesystem. */
-using FileId = std::uint32_t;
-constexpr FileId noFile = ~FileId(0);
 
 /** Kind of mapping a VMA describes. */
 enum class VmaKind : std::uint8_t {

@@ -77,6 +77,7 @@ const Case kCases[] = {
     {"bad_loose_hotness_key.cc", "loose-hotness-key", "tests/fix.cc"},
     {"bad_retired_api.cc", "retired-api", "src/fix.cc"},
     {"bad_soa_field_write.cc", "soa-field-write", "src/fix.cc"},
+    {"bad_soa_cache_file.cc", "soa-field-write", "src/fix.cc"},
 };
 
 TEST(Analyze, CatalogHasFourteenRules)

@@ -4,8 +4,8 @@
  *
  * Each test plants one deliberate corruption (double free, mid-
  * residence retype, zone counter desync, broken LRU link, P2M drift,
- * stale gauges) and asserts the *intended* validator catches it with
- * the right CheckFailure kind. Clean-state audits run first as
+ * stale gauges, page-cache index drift) and asserts the *intended*
+ * validator catches it with the right CheckFailure kind. Clean-state audits run first as
  * positive controls so a trigger can't hide behind a validator that
  * fires on everything.
  */
@@ -280,6 +280,104 @@ TEST_F(AuditFixture, ConservationIdentityBreakIsZoneAccounting)
     const AuditResult r = check::auditKernel(*kernel);
     ASSERT_FALSE(r.ok());
     EXPECT_GE(countKind(r, CheckKind::ZoneAccounting), 1u);
+}
+
+/** A few cached pages: clean reads, dirty writes, one remapped. */
+struct CacheAuditFixture : AuditFixture
+{
+    guestos::PageCache &pc = kernel->pageCache();
+    guestos::FileId file = pc.createFile(mem::mib);
+    std::vector<Gpfn> read = pc.read(file, 0, 8 * mem::pageSize).pages;
+    std::vector<Gpfn> written =
+        pc.write(file, 64 * mem::pageSize, 4 * mem::pageSize).pages;
+
+    void
+    SetUp() override
+    {
+        auto *slow = kernel->nodeFor(mem::MemType::SlowMem);
+        const Gpfn dst =
+            kernel->allocPageOnNode(slow->id(), PageType::PageCache);
+        ASSERT_NE(dst, guestos::invalidGpfn);
+        pc.remapPage(read[0], dst);
+        kernel->lruRemove(read[0]);
+        kernel->freePage(read[0]);
+        kernel->lruAdd(dst);
+        read[0] = dst;
+        ASSERT_TRUE(pc.evictPage(read[7]));
+        read.pop_back();
+    }
+};
+
+TEST_F(CacheAuditFixture, CleanCacheAuditsClean)
+{
+    const AuditResult r = check::auditPageCache(*kernel);
+    EXPECT_TRUE(r.ok()) << (r.failures.empty()
+                                ? ""
+                                : r.failures.front().describe());
+    EXPECT_GT(r.checks, 11u);
+    EXPECT_TRUE(check::auditKernel(*kernel).ok());
+}
+
+TEST_F(CacheAuditFixture, StrayFileOnAnonPageIsPageCache)
+{
+    const Gpfn pfn = kernel->allocPageOnNode(0, PageType::Anon);
+    ASSERT_NE(pfn, guestos::invalidGpfn);
+
+    // The corruption: an anon page claims to cache a file page.
+    kernel->pageMeta(pfn).setCacheFile(file, 300);
+
+    const AuditResult r = check::auditKernel(*kernel);
+    ASSERT_EQ(r.failures.size(), 1u);
+    EXPECT_EQ(r.failures.front().kind, CheckKind::PageCache);
+    EXPECT_EQ(r.failures.front().subject, pfn);
+}
+
+TEST_F(CacheAuditFixture, IndexedPageForgettingItsFileIsPageCache)
+{
+    // The corruption: a cached page loses its reverse map while the
+    // index still names it.
+    kernel->pageMeta(read[2]).setCacheFile(guestos::noFile, 0);
+
+    const AuditResult r = check::auditPageCache(*kernel);
+    ASSERT_FALSE(r.ok());
+    for (const auto &f : r.failures) {
+        EXPECT_EQ(f.kind, CheckKind::PageCache) << f.describe();
+        EXPECT_EQ(f.subject, read[2]) << f.describe();
+    }
+}
+
+TEST_F(CacheAuditFixture, IndexPointingAtWrongSlotIsPageCache)
+{
+    // The corruption: the page points back at a neighbour's slot.
+    kernel->pageMeta(read[3]).setCacheFile(file, 4);
+
+    const AuditResult r = check::auditPageCache(*kernel);
+    ASSERT_EQ(r.failures.size(), 2u) << "both directions disagree";
+    for (const auto &f : r.failures)
+        EXPECT_EQ(f.kind, CheckKind::PageCache) << f.describe();
+}
+
+TEST_F(CacheAuditFixture, DirtyCountDriftIsPageCache)
+{
+    // The corruption: a cached page turns dirty behind the cache's
+    // back, so dirtyPages() no longer matches a recount.
+    kernel->pageMeta(read[1]).setDirty(true);
+
+    const AuditResult r = check::auditPageCache(*kernel);
+    ASSERT_EQ(r.failures.size(), 1u);
+    EXPECT_EQ(r.failures.front().kind, CheckKind::PageCache);
+    EXPECT_EQ(r.failures.front().subject, check::invalidSubject);
+}
+
+TEST_F(CacheAuditFixture, FreeOfIndexedPageCaught)
+{
+    if (!check::cheapChecksEnabled)
+        GTEST_SKIP() << "call-site validators compiled out "
+                        "(HOS_CHECK=off)";
+    // Freeing a page the cache still indexes, bypassing evictPage.
+    kernel->lruRemove(read[4]);
+    expectCheckFailure(CheckKind::PageState,
+                       [&] { kernel->freePage(read[4]); });
 }
 
 TEST_F(AuditFixture, StaleGaugesAreStatDrift)

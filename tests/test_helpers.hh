@@ -6,6 +6,7 @@
 #ifndef HOS_TESTS_TEST_HELPERS_HH
 #define HOS_TESTS_TEST_HELPERS_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -58,6 +59,32 @@ jsonWellFormed(const std::string &s)
     }
     return !in_string && stack.empty();
 }
+
+/** FNV-1a over 64-bit words, for pinned state fingerprints. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    /** The list's size, then its members from head to tail. */
+    void
+    addList(const guestos::PageList &list, guestos::PageArray &pages)
+    {
+        add(list.size());
+        for (guestos::Gpfn pfn = list.head(); pfn != guestos::invalidGpfn;
+             pfn = pages.page(pfn).link_next()) {
+            add(pfn);
+        }
+    }
+};
 
 /**
  * A guest kernel with its nodes fully populated directly (no VMM) —

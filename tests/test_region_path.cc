@@ -21,31 +21,7 @@ namespace {
 using namespace hos;
 using namespace hos::guestos;
 using namespace hos::workload;
-
-/** FNV-1a over 64-bit words. */
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    addList(const PageList &list, PageArray &pages)
-    {
-        add(list.size());
-        for (Gpfn pfn = list.head(); pfn != invalidGpfn;
-             pfn = pages.page(pfn).link_next()) {
-            add(pfn);
-        }
-    }
-};
+using test::Fnv;
 
 /** Drives the protected region helpers through a fixed script. */
 class ChurnProbe final : public Workload

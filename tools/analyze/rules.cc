@@ -54,10 +54,11 @@ const std::array<const char *, 4> kRetiredApis = {"RunSpec", "runApp",
 const std::array<const char *, 6> kSoaColumns = {
     "pte_accessed_", "allocated_", "heat_",
     "last_touch_",   "meta_",      "rmap_"};
-const std::array<const char *, 12> kSoaFields = {
+const std::array<const char *, 13> kSoaFields = {
     "pte_accessed", "last_touch",  "on_list",   "in_buddy",
     "buddy_order",  "under_io",    "unevictable", "owner_process",
-    "link_next",    "link_prev",   "list_id",   "mem_type"};
+    "link_next",    "link_prev",   "list_id",   "mem_type",
+    "cache_file"};
 
 bool
 startsWith(const std::string &s, const std::string &prefix)
