@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the hot data structures: the
  * buddy allocator, per-CPU lists, page-table map/scan, LRU churn,
- * the slab allocator, the region path's range fault-in and munmap,
- * and the page cache's fill, eviction and remap. These guard the
+ * the slab allocator, the hotness tracker's full-VM sweep and guided
+ * PTE scan, the region path's range fault-in and munmap, and the
+ * page cache's fill, eviction and remap. These guard the
  * simulator's own
  * performance (the benches sweep thousands of runs).
  */
@@ -15,8 +16,12 @@
 #include "guestos/lru.hh"
 #include "guestos/page.hh"
 #include "guestos/page_table.hh"
+#include "mem/machine_memory.hh"
 #include "mem/migration_cost.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
+#include "vmm/hotness_pte.hh"
+#include "vmm/vmm.hh"
 
 using namespace hos;
 using namespace hos::guestos;
@@ -142,35 +147,117 @@ BM_MigrationCostModel(benchmark::State &state)
 }
 BENCHMARK(BM_MigrationCostModel);
 
-void
-BM_BitmapFreeRunScan(benchmark::State &state)
+/**
+ * A VMM-exclusive guest (256 MiB FastMem, 1 GiB SlowMem) registered
+ * with a VMM, and a PteScanTracker with the HeteroVisor budget of
+ * 32768 pages per scan.
+ */
+struct SweepGuest
 {
-    // The SoA allocated bitmap's word-at-a-time run scan, on a
-    // half-full array with alternating 64-page runs — the shape the
-    // full-VM hotness sweep hops across.
-    constexpr std::uint64_t n = 1 << 18;
-    PageArray pages(n);
-    for (Gpfn pfn = 0; pfn < n; ++pfn) {
-        if ((pfn >> 6) & 1)
-            pages.setAllocated(pfn, true);
+    mem::MachineMemory machine;
+    std::unique_ptr<vmm::Vmm> hypervisor;
+    std::unique_ptr<GuestKernel> kernel;
+    vmm::VmId id = 0;
+
+    SweepGuest()
+    {
+        machine.addNode(mem::MemType::FastMem, mem::dramSpec(512 * mem::mib));
+        machine.addNode(mem::MemType::SlowMem,
+                        mem::defaultSlowMemSpec(2 * mem::gib));
+        hypervisor = std::make_unique<vmm::Vmm>(machine);
+        GuestConfig cfg;
+        cfg.cpus = 2;
+        cfg.nodes = {{mem::MemType::FastMem, 256 * mem::mib, 256 * mem::mib},
+                     {mem::MemType::SlowMem, mem::gib, mem::gib}};
+        kernel = std::make_unique<GuestKernel>(cfg);
+        id = hypervisor->registerVm(*kernel, {});
     }
+
+    /** Set the access bit of every third page (paused by callers). */
+    void
+    touchThird()
+    {
+        PageArray &pages = kernel->pages();
+        for (Gpfn pfn = 0; pfn < pages.size(); pfn += 3)
+            pages.page(pfn).setPteAccessed(true);
+    }
+};
+
+/** Full-VM sweeps over `guest` with the access bits re-set per scan. */
+void
+runSweeps(benchmark::State &state, SweepGuest &guest)
+{
+    vmm::PteScanTracker tracker(guest.hypervisor->vm(guest.id), {});
+    std::uint64_t scanned = 0;
     for (auto _ : state) {
-        std::uint64_t free_pages = 0;
-        Gpfn pfn = 0;
-        while (pfn < n) {
-            const std::uint64_t run = pages.freeRunLength(pfn, n - pfn);
-            if (run > 0) {
-                free_pages += run;
-                pfn += run;
-            } else {
-                ++pfn;
-            }
-        }
-        benchmark::DoNotOptimize(free_pages);
+        state.PauseTiming();
+        guest.touchThird();
+        state.ResumeTiming();
+        scanned += tracker.scanOnce().pages_scanned;
     }
-    state.SetItemsProcessed(state.iterations() * n);
+    state.SetItemsProcessed(static_cast<std::int64_t>(scanned));
 }
-BENCHMARK(BM_BitmapFreeRunScan);
+
+void
+BM_FullVmSweepDense(benchmark::State &state)
+{
+    // Every page allocated: each bitmap word is a full visit mask.
+    SweepGuest guest;
+    PageArray &pages = guest.kernel->pages();
+    for (Gpfn pfn = 0; pfn < pages.size(); ++pfn)
+        pages.setAllocated(pfn, true);
+    runSweeps(state, guest);
+}
+BENCHMARK(BM_FullVmSweepDense);
+
+void
+BM_FullVmSweepFragmented(benchmark::State &state)
+{
+    // Alternating allocated and free runs of 1 to 200 pages: partial
+    // masks, free words, and budgets that end mid-word.
+    SweepGuest guest;
+    PageArray &pages = guest.kernel->pages();
+    sim::Rng rng(7);
+    Gpfn pfn = 0;
+    for (bool alloc = true; pfn < pages.size(); alloc = !alloc) {
+        const std::uint64_t run = 1 + rng.uniformInt(200);
+        for (std::uint64_t i = 0; i < run && pfn < pages.size(); ++i)
+            pages.setAllocated(pfn++, alloc);
+    }
+    runSweeps(state, guest);
+}
+BENCHMARK(BM_FullVmSweepFragmented);
+
+void
+BM_GuidedScan(benchmark::State &state)
+{
+    // The OS-guided scan: one 32768-page anon VMA on the tracking
+    // list, every third PTE touched again before each scan.
+    SweepGuest guest;
+    AddressSpace &as = guest.kernel->createProcess("bench");
+    constexpr std::uint64_t n = 32768;
+    const std::uint64_t va = as.mmap(n * mem::pageSize, VmaKind::Anon);
+    std::vector<Gpfn> out(n);
+    as.touchRange(va, n, true, out.data());
+    vmm::SharedRing ring;
+    vmm::TrackingDirectives d;
+    d.ranges.push_back({as.pid(), va, va + n * mem::pageSize});
+    d.exception = pageTypeBit(PageType::PageCache) |
+                  pageTypeBit(PageType::PageTable);
+    ring.publishDirectives(std::move(d));
+    vmm::PteScanTracker tracker(guest.hypervisor->vm(guest.id), {});
+    tracker.guideWith(&ring);
+    std::uint64_t scanned = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        for (std::uint64_t i = 0; i < n; i += 3)
+            as.pageTable().touch(va + i * mem::pageSize, false);
+        state.ResumeTiming();
+        scanned += tracker.scanOnce().pages_scanned;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(scanned));
+}
+BENCHMARK(BM_GuidedScan);
 
 void
 BM_PageRefFieldAccess(benchmark::State &state)

@@ -25,7 +25,8 @@
  *   --set=KEY=VALUE         scenario override (repeatable): any
  *                           applyScenarioParam key, including the
  *                           dotted hotness spec, e.g.
- *                           --set=hotness.backend=region
+ *                           --set=hotness.backend=region; a key or
+ *                           value it rejects exits 2
  *   --log-level=N           0 quiet, 1 inform, 2 debug (tick-stamped)
  *
  * Profiling options (need -DHOS_PROF=sim or host):
@@ -323,7 +324,7 @@ main(int argc, char **argv)
         if (!core::applyScenarioParam(spec, key, value, &err)) {
             std::fprintf(stderr, "--set=%s=%s: %s\n", key.c_str(),
                          value.c_str(), err.c_str());
-            return 1;
+            return 2;
         }
     }
 

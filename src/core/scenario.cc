@@ -1,5 +1,7 @@
 #include "core/scenario.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -93,18 +95,39 @@ parseBool(const std::string &value, bool &out)
 
 /**
  * Reject a non-numeric value for `key`. An unknown key is reported as
- * such (probing with a valid number), so a retired key never reads as
- * a bad value.
+ * such (probing with 1, a value every numeric key accepts), so a
+ * retired key never reads as a bad value.
  */
 bool
 badNumber(const std::string &key, const std::string &value,
           std::string *error)
 {
     Scenario probe;
-    if (!applyScenarioParam(probe, key, "0", error))
+    if (!applyScenarioParam(probe, key, "1", error))
         return false;
     return setError(error, "bad value '" + value + "' for '" + key + "'");
 }
+
+/**
+ * Accept `num` for hotness key `key` when it lies in [lo, hi] and,
+ * for an integer key, is whole; otherwise report why. Keeps every
+ * later cast to the config's field type defined.
+ */
+bool
+hotnessInRange(const std::string &key, const std::string &value,
+               double num, double lo, double hi, bool whole,
+               const std::string &why, std::string *error)
+{
+    if (num >= lo && num <= hi && (!whole || num == std::floor(num)))
+        return true;
+    return setError(error, "bad value '" + value + "' for '" + key +
+                               "': " + why);
+}
+
+/** Largest value that fits a u32 field. */
+constexpr double maxU32 = 4294967295.0;
+/** Largest double below 2^64, the bound of a u64 field's double path. */
+constexpr double maxU64 = 18446744073709549568.0;
 
 } // namespace
 
@@ -435,23 +458,68 @@ applyScenarioParam(Scenario &s, const std::string &key,
         double num = 0.0;
         if (!parseNumber(value, num))
             return badNumber(key, value, error);
+        const auto range = [&](double lo, double hi, bool whole,
+                               const char *why) {
+            return hotnessInRange(key, value, num, lo, hi, whole, why,
+                                  error);
+        };
+        const auto count32 = [&] {
+            return range(0, maxU32, true,
+                         "need a whole number in [0, 2^32)");
+        };
+        const auto count64 = [&] {
+            // Digit strings load exactly (exactU64) up to 2^64 - 1.
+            if (!value.empty() &&
+                value.find_first_not_of("0123456789") ==
+                    std::string::npos) {
+                errno = 0;
+                std::strtoull(value.c_str(), nullptr, 10);
+                if (errno != ERANGE)
+                    return true;
+            }
+            return range(0, maxU64, true,
+                         "need a whole number in [0, 2^64)");
+        };
         if (sub == "interval_ms") {
+            // The scan is a periodic event: a period under 1 ms
+            // truncates to zero, which the event queue rejects.
+            if (!range(1, maxU64 / 1e6, false,
+                       "the scan period must be at least 1 ms"))
+                return false;
             h.interval_ms = num;
         } else if (sub == "pages_per_scan") {
+            if (!count64())
+                return false;
             h.pages_per_scan = exactU64(value, num);
         } else if (sub == "hot_threshold") {
+            if (!range(0, 65535, true,
+                       "heat is 16-bit: need a whole number in "
+                       "[0, 65535]"))
+                return false;
             h.hot_threshold = static_cast<std::uint32_t>(num);
         } else if (sub == "region_min") {
+            if (!count32())
+                return false;
             h.region_min = static_cast<std::uint32_t>(num);
         } else if (sub == "region_max") {
+            if (!count32())
+                return false;
             h.region_max = static_cast<std::uint32_t>(num);
         } else if (sub == "region_probes") {
+            if (!count32())
+                return false;
             h.region_probes = static_cast<std::uint32_t>(num);
         } else if (sub == "region_min_pages") {
+            if (!count64())
+                return false;
             h.region_min_pages = exactU64(value, num);
         } else if (sub == "region_split_threshold") {
             h.region_split_threshold = num;
         } else if (sub == "region_merge_heat_delta") {
+            if (!range(0, 65535, true,
+                       "heat is 16-bit: need a whole number in "
+                       "[0, 65535]"))
+                return false;
             h.region_merge_heat_delta = static_cast<std::uint32_t>(num);
         } else {
             return setError(error,

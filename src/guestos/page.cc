@@ -8,7 +8,8 @@ namespace hos::guestos {
 PageArray::PageArray(std::uint64_t num_pages)
     : size_(num_pages), pte_accessed_((num_pages + 63) >> 6, 0),
       allocated_((num_pages + 63) >> 6, 0),
-      populated_((num_pages + 63) >> 6, 0), heat_(num_pages, 0),
+      populated_((num_pages + 63) >> 6, 0),
+      heat_(((num_pages + 63) >> 6) << 6, 0),
       last_touch_(num_pages, 0), meta_(num_pages), rmap_(num_pages)
 {
     // Id 0 is reserved for "not on any list".
@@ -21,27 +22,6 @@ PageArray::registerList(ListTag tag)
     hos_assert(list_tags_.size() < 0xffffu, "list-id space exhausted");
     list_tags_.push_back(tag);
     return static_cast<ListId>(list_tags_.size() - 1);
-}
-
-std::uint64_t
-PageArray::freeRunLength(Gpfn from, std::uint64_t max) const
-{
-    const Gpfn end = std::min<Gpfn>(size_, from + max);
-    if (from >= end)
-        return 0;
-    // First word: ignore bits below `from`.
-    Gpfn pfn = from;
-    std::uint64_t word =
-        allocated_[pfn >> 6] & (~std::uint64_t(0) << (pfn & 63));
-    while (word == 0) {
-        pfn = (pfn | 63) + 1; // next word boundary
-        if (pfn >= end)
-            return end - from;
-        word = allocated_[pfn >> 6];
-    }
-    const Gpfn first_set =
-        (pfn & ~Gpfn(63)) + static_cast<unsigned>(std::countr_zero(word));
-    return std::min<Gpfn>(first_set, end) - from;
 }
 
 std::uint32_t

@@ -9,10 +9,11 @@
  * the bytes they need:
  *
  *  - scan bits (pte_accessed / allocated / populated) live in packed
- *    one-bit-per-page bitmaps — hotness sweeps, residency walks, and
- *    free-run skips become word-at-a-time scans;
+ *    one-bit-per-page bitmaps — the full-VM hotness sweep and the
+ *    census read them a 64-page word at a time;
  *  - hotness state (heat, last_touch) lives in dense arrays the
- *    trackers stream through;
+ *    trackers stream through, heat padded to whole words so a sweep
+ *    updates a word's 64 heat lanes in one masked loop;
  *  - warm bookkeeping (list links, node/type identity, LRU flags)
  *    packs into a 24-byte Meta record;
  *  - the cold reverse map (owner process and vaddr, or file and file
@@ -135,12 +136,12 @@ class PageList
  * The guest's mem_map in structure-of-arrays form: per-gpfn columns
  * plus per-node gpfn ranges.
  *
- * The allocated bitmap doubles as the sweep-skip index: walkers
- * (HotnessTracker's full-VM scan) call freeRunLength() to hop over
- * free space word-at-a-time instead of probing each descriptor, and
- * the chunk-granularity census the auditors reconcile against is a
- * popcount over the same words — no shadow counters to maintain on
- * the allocation fast path.
+ * The bitmaps are also read a word at a time: the full-VM hotness
+ * sweep takes a word's allocated bits as its visit mask, harvests the
+ * access bits under it and updates the word's heat lanes, so a free
+ * word costs one load; the chunk-granularity census the auditors
+ * reconcile against is a popcount over the same words — no shadow
+ * counters to maintain on the allocation fast path.
  */
 class PageArray
 {
@@ -165,13 +166,26 @@ class PageArray
     }
     inline void setAllocated(const PageRef &p, bool v);
 
-    /**
-     * Length of the run of unallocated pages starting at `from`,
-     * capped at `max` and at the end of the array (no wrap). Scans
-     * the allocated bitmap word-at-a-time. Returns 0 if `from` is
-     * allocated.
-     */
-    std::uint64_t freeRunLength(Gpfn from, std::uint64_t max) const;
+    // --- Word operations: gpfns [64w, 64w + 64) ----------------------
+    //
+    // Bits past size() in the last word are never set, and its heat
+    // lanes past size() are padding nothing else reads.
+
+    /** Allocated bits of word w. */
+    std::uint64_t allocatedWord(std::uint64_t w) const
+    {
+        return allocated_[w];
+    }
+    /** Read the access bits of word w under `mask` and clear them. */
+    std::uint64_t
+    takeAccessed(std::uint64_t w, std::uint64_t mask)
+    {
+        const std::uint64_t taken = pte_accessed_[w] & mask;
+        pte_accessed_[w] &= ~mask;
+        return taken;
+    }
+    /** The 64 heat lanes of word w. */
+    std::uint16_t *heatLanes(std::uint64_t w) { return &heat_[w << 6]; }
 
     std::uint64_t numChunks() const
     {

@@ -6,26 +6,11 @@ namespace hos::guestos {
 
 namespace {
 
-// Intermediate slots store the child Node pointer (8-byte aligned, so
-// the low three bits are free) plus the present bit.
-constexpr std::uint64_t ptrMask = ~std::uint64_t(0x7);
-
 std::uint64_t
 makeLeaf(Gpfn pfn, bool writable)
 {
     return (pfn << PageTable::pfnShift) | PageTable::bitPresent |
            (writable ? PageTable::bitRw : 0);
-}
-
-PteView
-decodeLeaf(std::uint64_t slot)
-{
-    PteView v;
-    v.pfn = slot >> PageTable::pfnShift;
-    v.writable = slot & PageTable::bitRw;
-    v.accessed = slot & PageTable::bitAccessed;
-    v.dirty = slot & PageTable::bitDirty;
-    return v;
 }
 
 } // namespace
@@ -236,58 +221,6 @@ PageTable::remap(std::uint64_t vaddr, Gpfn new_pfn)
     // the hardware re-marks on next touch.
     *slot = (new_pfn << pfnShift) | flags;
     return true;
-}
-
-std::uint64_t
-PageTable::scanNode(
-    Node &node, unsigned level, std::uint64_t va_base, std::uint64_t va_lo,
-    std::uint64_t va_hi,
-    const std::function<void(std::uint64_t, const PteView &)> &visit,
-    bool clear_accessed, std::uint64_t max_visits)
-{
-    const std::uint64_t slot_span =
-        1ull << (mem::pageShift + bitsPerLevel * level);
-    std::uint64_t visited = 0;
-
-    unsigned first = 0;
-    if (va_lo > va_base)
-        first = static_cast<unsigned>((va_lo - va_base) / slot_span);
-
-    for (unsigned i = first; i < entriesPerNode; ++i) {
-        if (visited >= max_visits)
-            break;
-        const std::uint64_t slot_va = va_base + slot_span * i;
-        if (slot_va >= va_hi)
-            break;
-        std::uint64_t &slot = node.slots[i];
-        if (!(slot & bitPresent))
-            continue;
-        if (level == 0) {
-            ++visited;
-            visit(slot_va, decodeLeaf(slot));
-            if (clear_accessed)
-                slot &= ~bitAccessed;
-        } else {
-            Node *child = reinterpret_cast<Node *>(slot & ptrMask);
-            visited += scanNode(*child, level - 1, slot_va, va_lo, va_hi,
-                                visit, clear_accessed,
-                                max_visits - visited);
-        }
-    }
-    return visited;
-}
-
-std::uint64_t
-PageTable::scanRange(
-    std::uint64_t va_lo, std::uint64_t va_hi,
-    const std::function<void(std::uint64_t, const PteView &)> &visit,
-    bool clear_accessed, std::uint64_t max_visits)
-{
-    if (va_lo >= va_hi || max_visits == 0)
-        return 0;
-    va_hi = std::min(va_hi, vaSpan);
-    return scanNode(*root_, levels - 1, 0, va_lo, va_hi, visit,
-                    clear_accessed, max_visits);
 }
 
 } // namespace hos::guestos

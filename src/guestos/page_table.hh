@@ -12,6 +12,7 @@
 #ifndef HOS_GUESTOS_PAGE_TABLE_HH
 #define HOS_GUESTOS_PAGE_TABLE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -104,16 +105,24 @@ class PageTable
      * `max_visits` entries. When `clear_accessed` is set, accessed
      * bits are reset after being reported — exactly what software
      * hotness tracking does, which is why the caller must also charge
-     * a TLB flush.
+     * a TLB flush. The visitor is a template parameter, inlined into
+     * the walk over each 512-entry leaf node.
      *
      * @return number of PTE slots visited (present entries), used for
      *         scan cost accounting and scan-cursor resumption.
      */
-    std::uint64_t scanRange(
-        std::uint64_t va_lo, std::uint64_t va_hi,
-        const std::function<void(std::uint64_t, const PteView &)> &visit,
-        bool clear_accessed,
-        std::uint64_t max_visits = ~std::uint64_t(0));
+    template <typename Visit>
+    std::uint64_t
+    scanRange(std::uint64_t va_lo, std::uint64_t va_hi, Visit &&visit,
+              bool clear_accessed,
+              std::uint64_t max_visits = ~std::uint64_t(0))
+    {
+        if (va_lo >= va_hi || max_visits == 0)
+            return 0;
+        va_hi = std::min(va_hi, vaSpan);
+        return scanNode(*root_, levels - 1, 0, va_lo, va_hi, visit,
+                        clear_accessed, max_visits);
+    }
 
     /** Present leaf mappings. */
     std::uint64_t mappedPages() const { return mapped_; }
@@ -180,6 +189,24 @@ class PageTable
     };
 
   private:
+    /**
+     * Intermediate slots store the child Node pointer (8-byte
+     * aligned, so the low three bits are free) plus the present bit.
+     */
+    static constexpr std::uint64_t ptrMask = ~std::uint64_t(0x7);
+
+    /** Decode a present leaf slot. */
+    static PteView
+    decodeLeaf(std::uint64_t slot)
+    {
+        PteView v;
+        v.pfn = slot >> pfnShift;
+        v.writable = slot & bitRw;
+        v.accessed = slot & bitAccessed;
+        v.dirty = slot & bitDirty;
+        return v;
+    }
+
     static unsigned levelIndex(std::uint64_t vaddr, unsigned level);
     Node *childOf(const Node &n, unsigned idx) const;
     Node *ensureChild(Node &n, unsigned idx);
@@ -188,12 +215,47 @@ class PageTable
     /** The leaf slot of vaddr, creating the nodes above it. */
     std::uint64_t &mapSlot(std::uint64_t vaddr);
 
-    std::uint64_t scanNode(Node &node, unsigned level,
-                           std::uint64_t va_base, std::uint64_t va_lo,
-                           std::uint64_t va_hi,
-                           const std::function<void(std::uint64_t,
-                                                    const PteView &)> &visit,
-                           bool clear_accessed, std::uint64_t max_visits);
+    template <typename Visit>
+    static std::uint64_t
+    scanNode(Node &node, unsigned level, std::uint64_t va_base,
+             std::uint64_t va_lo, std::uint64_t va_hi, Visit &visit,
+             bool clear_accessed, std::uint64_t max_visits)
+    {
+        const std::uint64_t slot_span =
+            1ull << (mem::pageShift + bitsPerLevel * level);
+        // Slots [first, stop) overlap [va_lo, va_hi); callers only
+        // descend into nodes that start below va_hi.
+        const unsigned first =
+            va_lo > va_base
+                ? static_cast<unsigned>((va_lo - va_base) / slot_span)
+                : 0;
+        const auto stop = static_cast<unsigned>(std::min<std::uint64_t>(
+            entriesPerNode, (va_hi - va_base + slot_span - 1) / slot_span));
+        std::uint64_t visited = 0;
+        if (level == 0) {
+            for (unsigned i = first; i < stop && visited < max_visits;
+                 ++i) {
+                std::uint64_t &slot = node.slots[i];
+                if (!(slot & bitPresent))
+                    continue;
+                ++visited;
+                visit(va_base + slot_span * i, decodeLeaf(slot));
+                if (clear_accessed)
+                    slot &= ~bitAccessed;
+            }
+            return visited;
+        }
+        for (unsigned i = first; i < stop && visited < max_visits; ++i) {
+            const std::uint64_t slot = node.slots[i];
+            if (!(slot & bitPresent))
+                continue;
+            Node *child = reinterpret_cast<Node *>(slot & ptrMask);
+            visited += scanNode(*child, level - 1, va_base + slot_span * i,
+                                va_lo, va_hi, visit, clear_accessed,
+                                max_visits - visited);
+        }
+        return visited;
+    }
 
     TableAccounting accounting_;
     std::unique_ptr<Node> root_;

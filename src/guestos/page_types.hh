@@ -63,6 +63,17 @@ pageTypeIndex(PageType t)
     return static_cast<std::size_t>(t);
 }
 
+/** A set of page types, one bit per PageType. */
+using PageTypeMask = std::uint8_t;
+static_assert(numPageTypes <= 8, "PageTypeMask holds one bit per type");
+
+/** The one-type set {t}. */
+constexpr PageTypeMask
+pageTypeBit(PageType t)
+{
+    return static_cast<PageTypeMask>(1u << pageTypeIndex(t));
+}
+
 /** Page types the VMM must never migrate (paper §4.1 exception list). */
 constexpr bool
 isMigrationException(PageType t)

@@ -28,7 +28,7 @@ CoordinatedPolicy::publishDirectives(guestos::GuestKernel &kernel)
     vmm::TrackingDirectives d;
     // Tracking list: every anonymous VMA of every process — the
     // regions whose hotness is worth acting on. File-backed and
-    // kernel pages are covered by the exception predicate instead.
+    // kernel pages are covered by the exception list instead.
     for (guestos::ProcessId pid = 0; kernel.hasProcess(pid); ++pid) {
         auto &as = kernel.process(pid);
         as.forEachVma([&](const guestos::Vma &vma) {
@@ -40,10 +40,13 @@ CoordinatedPolicy::publishDirectives(guestos::GuestKernel &kernel)
     }
     // Exception list: short-lived I/O pages (evicted eagerly by
     // HeteroOS-LRU anyway) and unmigratable page-table/DMA pages.
-    d.exception = [](const guestos::PageRef &p) {
-        return guestos::isShortLivedIo(p.type()) ||
-               guestos::isMigrationException(p.type());
-    };
+    for (std::size_t i = 0; i < guestos::numPageTypes; ++i) {
+        const auto t = static_cast<guestos::PageType>(i);
+        if (guestos::isShortLivedIo(t) ||
+            guestos::isMigrationException(t)) {
+            d.exception |= guestos::pageTypeBit(t);
+        }
+    }
     ring_.publishDirectives(std::move(d));
 }
 

@@ -1,9 +1,74 @@
 #include "vmm/hotness_pte.hh"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+
 #include "prof/prof.hh"
 #include "sim/log.hh"
 
 namespace hos::vmm {
+
+namespace {
+
+/** Eight heat lanes' worth of a mask byte: 0xffff per set bit. */
+using LaneMask8 = std::array<std::uint16_t, 8>;
+
+constexpr auto laneMasks = [] {
+    std::array<LaneMask8, 256> t{};
+    for (unsigned b = 0; b < 256; ++b) {
+        for (unsigned j = 0; j < 8; ++j)
+            t[b][j] = ((b >> j) & 1u) ? 0xffff : 0;
+    }
+    return t;
+}();
+
+/** Expand a 64-bit lane mask into 64 lane-wide masks. */
+void
+expandLanes(std::uint64_t mask, std::uint16_t *out)
+{
+    for (unsigned g = 0; g < 8; ++g) {
+        std::memcpy(out + 8 * g, laneMasks[(mask >> (8 * g)) & 0xffu].data(),
+                    sizeof(LaneMask8));
+    }
+}
+
+/**
+ * The full-VM sweep's inner kernel over one bitmap word: every lane
+ * under `visit` takes HotnessTracker::nextHeat of its access bit, the
+ * others keep their heat. Returns the visited lanes that are hot now.
+ * The lane loop is branch-free over all 64 lanes (the masks are
+ * expanded to lane width first), so the compiler vectorises it.
+ */
+std::uint64_t
+heatWord(std::uint16_t *lanes, std::uint64_t visit, std::uint64_t accessed,
+         std::uint16_t threshold)
+{
+    alignas(16) std::uint16_t vis[64];
+    alignas(16) std::uint16_t acc[64];
+    alignas(16) std::uint8_t hot[64];
+    expandLanes(visit, vis);
+    expandLanes(accessed, acc);
+    for (unsigned i = 0; i < 64; ++i) {
+        const std::uint16_t h = lanes[i];
+        const bool v = vis[i] != 0;
+        const std::uint16_t next = HotnessTracker::nextHeat(h, acc[i] != 0);
+        lanes[i] = v ? next : h;
+        hot[i] = v & (next >= threshold);
+    }
+    // Gather the 0/1 bytes into bits: the multiply moves byte k's bit
+    // to bit 56 + k without carries.
+    std::uint64_t mask = 0;
+    for (unsigned g = 0; g < 8; ++g) {
+        std::uint64_t bytes = 0;
+        std::memcpy(&bytes, hot + 8 * g, sizeof(bytes));
+        mask |= ((bytes * 0x0102040810204080ull) >> 56) << (8 * g);
+    }
+    return mask;
+}
+
+} // namespace
 
 PteScanTracker::PteScanTracker(VmContext &vm, HotnessConfig cfg)
     : HotnessTracker(vm, cfg)
@@ -22,6 +87,7 @@ PteScanTracker::scanOnce()
     // Adaptive reservation: hot counts are stable scan to scan, so
     // last scan's size (plus slack) kills the reallocation churn.
     res.hot.reserve(last_hot_ + 64);
+    const HeatSink sink = heatSink();
 
     if (ring_ && ring_->hasDirectives()) {
         // OS-guided: walk only the tracking-list VMA ranges through
@@ -64,12 +130,12 @@ PteScanTracker::scanOnce()
                 [&](std::uint64_t va, const guestos::PteView &pte) {
                     last_va = va;
                     guestos::PageRef p = pages.page(pte.pfn);
-                    if (d.exception && d.exception(p))
+                    if (d.exception & guestos::pageTypeBit(p.type()))
                         return;
                     const bool accessed =
                         pte.accessed || p.pte_accessed();
                     p.setPteAccessed(false);
-                    heatPage(p, accessed, res);
+                    heatPage(p, accessed, res, sink);
                 },
                 /*clear_accessed=*/true, budget);
             res.pages_scanned += visited;
@@ -84,37 +150,58 @@ PteScanTracker::scanOnce()
         }
     } else {
         // Full-VM sweep: the VMM has no idea what the pages are, so
-        // it walks everything, pages_per_scan at a time (HeteroVisor).
-        // Free pfns count against `step` but not `visited` (the scan
-        // budget is real work, the span bound is one lap); runs of
-        // them are skipped via the allocated-range hint at the cost
-        // the one-at-a-time walk would have paid in steps.
+        // it walks everything, pages_per_scan at a time (HeteroVisor),
+        // a 64-gpfn bitmap word at a time. Every gpfn position, free
+        // or not, takes one step of the one-lap bound `step < span`;
+        // allocated ones take the budget. A free word is one step.
         const std::uint64_t span = pages.size();
+        const std::uint16_t threshold = cfg_.hot_threshold;
         std::uint64_t visited = 0;
         std::uint64_t step = 0;
         HOS_PROF_SPAN(chunk_span, prof::SpanKind::ChunkWalk,
                       kernel.events(), vm_id);
         while (step < span && visited < cfg_.pages_per_scan) {
-            guestos::PageRef p = pages.page(cursor_);
-            if (!p.allocated()) {
-                // Skipping a free run of length L consumes exactly L
-                // steps, so cursor and visited counts match a
-                // page-at-a-time walk bit for bit.
-                const std::uint64_t run =
-                    pages.freeRunLength(cursor_, span - step);
-                step += run;
-                cursor_ += run; // freeRunLength stops at the array end
-                if (cursor_ == span)
-                    cursor_ = 0;
-                continue;
+            const std::uint64_t w = cursor_ >> 6;
+            const Gpfn base = w << 6;
+            const Gpfn end = std::min({base + 64, span,
+                                       cursor_ + (span - step)});
+            std::uint64_t visit = pages.allocatedWord(w) &
+                                  (~std::uint64_t(0) << (cursor_ - base));
+            if (end - base < 64)
+                visit &= (std::uint64_t(1) << (end - base)) - 1;
+            Gpfn stop = end;
+            const std::uint64_t left = cfg_.pages_per_scan - visited;
+            if (static_cast<std::uint64_t>(std::popcount(visit)) >= left) {
+                // The budget runs out in this word: keep the first
+                // `left` pages and stop right after the last of them.
+                std::uint64_t rest = visit;
+                for (std::uint64_t i = 0; i < left; ++i)
+                    rest &= rest - 1;
+                visit ^= rest;
+                stop = base + 64 -
+                       static_cast<unsigned>(std::countl_zero(visit));
             }
-            ++step;
-            if (++cursor_ == span)
-                cursor_ = 0;
-            ++visited;
-            const bool accessed = p.pte_accessed();
-            p.setPteAccessed(false);
-            heatPage(p, accessed, res);
+            step += stop - cursor_;
+            cursor_ = stop == span ? 0 : stop;
+            if (visit == 0)
+                continue;
+            visited += static_cast<std::uint64_t>(std::popcount(visit));
+            const std::uint64_t accessed = pages.takeAccessed(w, visit);
+            res.accessed +=
+                static_cast<std::uint64_t>(std::popcount(accessed));
+            std::uint16_t *lanes = pages.heatLanes(w);
+            std::uint64_t hot = heatWord(lanes, visit, accessed, threshold);
+            for (; hot != 0; hot &= hot - 1) {
+                res.hot.push_back(
+                    base + static_cast<unsigned>(std::countr_zero(hot)));
+            }
+            if (sink.xr) {
+                for (std::uint64_t v = visit; v != 0; v &= v - 1) {
+                    const auto i =
+                        static_cast<unsigned>(std::countr_zero(v));
+                    reportHeat(sink, base + i, lanes[i]);
+                }
+            }
         }
         res.pages_scanned = visited;
     }

@@ -43,6 +43,12 @@ class PteScanTracker final : public HotnessTracker
 
     ScanResult scanOnce() override;
 
+    /** Where the next full-VM sweep starts (state pins read it). */
+    Gpfn sweepCursor() const { return cursor_; }
+    /** The guided scan's resume point: tracking range and vaddr. */
+    std::size_t rangeCursor() const { return range_cursor_; }
+    std::uint64_t vaCursor() const { return va_cursor_; }
+
   private:
     Gpfn cursor_ = 0;
     std::size_t range_cursor_ = 0; ///< guided-scan resume point

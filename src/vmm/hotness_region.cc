@@ -131,7 +131,8 @@ RegionTracker::inheritedHeat(guestos::ProcessId pid,
 }
 
 void
-RegionTracker::probeRegion(HotRegion &r, ScanResult &res)
+RegionTracker::probeRegion(HotRegion &r, ScanResult &res,
+                           const HeatSink &sink)
 {
     auto &kernel = vm_.kernel();
     auto &pages = kernel.pages();
@@ -163,7 +164,7 @@ RegionTracker::probeRegion(HotRegion &r, ScanResult &res)
                 const bool accessed = p.pte_accessed();
                 p.setPteAccessed(false);
                 hit = accessed;
-                probeHeat(p, accessed);
+                probeHeat(p, accessed, sink);
             }
         } else if (kernel.hasProcess(r.pid)) {
             // Guided scope: pn is a VA page; resolve one PTE, reset
@@ -176,13 +177,13 @@ RegionTracker::probeRegion(HotRegion &r, ScanResult &res)
                 va, va + mem::pageSize,
                 [&](std::uint64_t, const guestos::PteView &pte) {
                     guestos::PageRef p = pages.page(pte.pfn);
-                    if (d.exception && d.exception(p))
+                    if (d.exception & guestos::pageTypeBit(p.type()))
                         return;
                     const bool accessed =
                         pte.accessed || p.pte_accessed();
                     p.setPteAccessed(false);
                     hit = accessed;
-                    probeHeat(p, accessed);
+                    probeHeat(p, accessed, sink);
                 },
                 /*clear_accessed=*/true, 1);
         }
@@ -310,7 +311,7 @@ RegionTracker::adjustRegions(ScanResult &res)
 }
 
 sim::Duration
-RegionTracker::emitCandidates(ScanResult &res)
+RegionTracker::emitCandidates(ScanResult &res, const HeatSink &sink)
 {
     auto &kernel = vm_.kernel();
     auto &pages = kernel.pages();
@@ -357,7 +358,7 @@ RegionTracker::emitCandidates(ScanResult &res)
                            : p.mem_type();
                 if (tier != mem::MemType::SlowMem)
                     continue;
-                raiseHeat(p, r.heat);
+                raiseHeat(p, r.heat, sink);
                 res.hot.push_back(p.pfn());
             } else {
                 if (!kernel.hasProcess(r.pid))
@@ -369,11 +370,11 @@ RegionTracker::emitCandidates(ScanResult &res)
                     continue;
                 guestos::PageRef p = pages.page(pte->pfn);
                 const TrackingDirectives &d = ring_->directives();
-                if (d.exception && d.exception(p))
+                if (d.exception & guestos::pageTypeBit(p.type()))
                     continue;
                 if (p.mem_type() != mem::MemType::SlowMem)
                     continue;
-                raiseHeat(p, r.heat);
+                raiseHeat(p, r.heat, sink);
                 res.hot.push_back(p.pfn());
             }
         }
@@ -396,6 +397,7 @@ RegionTracker::scanOnce()
     HOS_PROF_SPAN(scan_span, prof::SpanKind::ScanPass, kernel.events(),
                   vm_id);
     res.hot.reserve(last_hot_ + 64);
+    const HeatSink sink = heatSink();
 
     syncSpace();
 
@@ -407,7 +409,7 @@ RegionTracker::scanOnce()
         HOS_PROF_SPAN(sample_span, prof::SpanKind::RegionSample,
                       kernel.events(), vm_id);
         for (HotRegion &r : regions_)
-            probeRegion(r, res);
+            probeRegion(r, res, sink);
         probe_cost = static_cast<sim::Duration>(
             static_cast<double>(res.pages_scanned) * cfg_.per_pte_ns);
         kernel.charge(guestos::OverheadKind::HotScan, probe_cost);
@@ -425,7 +427,7 @@ RegionTracker::scanOnce()
         kernel.charge(guestos::OverheadKind::HotScan, adjust_cost);
     }
 
-    const sim::Duration emit_cost = emitCandidates(res);
+    const sim::Duration emit_cost = emitCandidates(res, sink);
 
     // Probes clear access bits, so the same forced-invalidation cost
     // the per-PTE scan pays applies — just over far fewer pages.

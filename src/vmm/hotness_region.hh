@@ -87,14 +87,14 @@ class RegionTracker final : public HotnessTracker
                                 std::uint64_t page) const;
 
     /** Probe one region's pages, updating its heat and evidence. */
-    void probeRegion(HotRegion &r, ScanResult &res);
+    void probeRegion(HotRegion &r, ScanResult &res, const HeatSink &sink);
     /** Split/merge pass plus region-count floor enforcement. */
     void adjustRegions(ScanResult &res);
     /**
      * Emit hot-region pages into res.hot, capped by the promote
      * budget. Returns the charged emission-walk cost.
      */
-    sim::Duration emitCandidates(ScanResult &res);
+    sim::Duration emitCandidates(ScanResult &res, const HeatSink &sink);
 
     std::vector<HotRegion> regions_;
     /** The directive set regions_ currently tiles (guided mode). */

@@ -37,47 +37,30 @@ HotnessTracker::HotnessTracker(VmContext &vm, HotnessConfig cfg)
 {
 }
 
-void
-HotnessTracker::heatPage(guestos::PageRef &p, bool accessed,
-                         ScanResult &res)
+HotnessTracker::HeatSink
+HotnessTracker::heatSink() const
 {
-    // Exponentially decaying heat: halve, then add for a fresh touch.
-    const auto heat =
-        static_cast<std::uint16_t>(p.heat() / 2 + (accessed ? 64 : 0));
-    p.setHeat(heat);
-    if (accessed)
-        ++res.accessed;
-    if (heat >= cfg_.hot_threshold)
-        res.hot.push_back(p.pfn());
-    if (auto *xr = xray::active()) {
-        xr->onHeat(static_cast<std::uint16_t>(vm_.id()), p.pfn(), heat,
-                   cfg_.hot_threshold, vm_.kernel().events().now());
-    }
+    return HeatSink{xray::active(), vm_.kernel().events().now()};
 }
 
 std::uint16_t
-HotnessTracker::probeHeat(guestos::PageRef &p, bool accessed)
+HotnessTracker::probeHeat(guestos::PageRef &p, bool accessed,
+                          const HeatSink &sink)
 {
-    const auto heat =
-        static_cast<std::uint16_t>(p.heat() / 2 + (accessed ? 64 : 0));
+    const std::uint16_t heat = nextHeat(p.heat(), accessed);
     p.setHeat(heat);
-    if (auto *xr = xray::active()) {
-        xr->onHeat(static_cast<std::uint16_t>(vm_.id()), p.pfn(), heat,
-                   cfg_.hot_threshold, vm_.kernel().events().now());
-    }
+    reportHeat(sink, p.pfn(), heat);
     return heat;
 }
 
 void
-HotnessTracker::raiseHeat(guestos::PageRef &p, std::uint16_t floor)
+HotnessTracker::raiseHeat(guestos::PageRef &p, std::uint16_t floor,
+                          const HeatSink &sink)
 {
     if (p.heat() >= floor)
         return;
     p.setHeat(floor);
-    if (auto *xr = xray::active()) {
-        xr->onHeat(static_cast<std::uint16_t>(vm_.id()), p.pfn(), floor,
-                   cfg_.hot_threshold, vm_.kernel().events().now());
-    }
+    reportHeat(sink, p.pfn(), floor);
 }
 
 void

@@ -40,6 +40,7 @@
 #include "sim/time.hh"
 #include "vmm/shared_ring.hh"
 #include "vmm/vmm.hh"
+#include "xray/xray.hh"
 
 namespace hos::vmm {
 
@@ -172,27 +173,72 @@ class HotnessTracker
     std::uint64_t totalScans() const { return scans_.value(); }
     sim::Duration totalCost() const { return total_cost_; }
 
+    /**
+     * The heat rule every scan applies to a harvested page:
+     * exponentially decaying heat, halved, plus 64 for a fresh touch
+     * (an always-touched page converges to 127).
+     */
+    static constexpr std::uint16_t
+    nextHeat(std::uint16_t heat, bool accessed)
+    {
+        return static_cast<std::uint16_t>(heat / 2 + (accessed ? 64 : 0));
+    }
+
   protected:
     HotnessTracker(VmContext &vm, HotnessConfig cfg);
 
     /**
-     * Update one page's heat from its harvested access bit, counting
-     * it hot when over threshold (the per-PTE path's inner loop).
+     * The heat telemetry of one scan pass, resolved once per pass:
+     * the active x-ray recorder (nullptr when off) and the sim tick.
      */
-    void heatPage(guestos::PageRef &p, bool accessed, ScanResult &res);
+    struct HeatSink
+    {
+        xray::Recorder *xr = nullptr;
+        sim::Tick now = 0;
+    };
+    HeatSink heatSink() const;
+
+    /** Tell the x-ray recorder, if any, a page's new heat. */
+    void
+    reportHeat(const HeatSink &sink, Gpfn pfn, std::uint16_t heat) const
+    {
+        if (sink.xr) {
+            sink.xr->onHeat(static_cast<std::uint16_t>(vm_.id()), pfn,
+                            heat, cfg_.hot_threshold, sink.now);
+        }
+    }
+
+    /**
+     * Update one page's heat from its harvested access bit, counting
+     * it hot when over threshold (the guided PTE scan's inner loop).
+     */
+    void
+    heatPage(guestos::PageRef &p, bool accessed, ScanResult &res,
+             const HeatSink &sink)
+    {
+        const std::uint16_t heat = nextHeat(p.heat(), accessed);
+        p.setHeat(heat);
+        if (accessed)
+            ++res.accessed;
+        if (heat >= cfg_.hot_threshold)
+            res.hot.push_back(p.pfn());
+        reportHeat(sink, p.pfn(), heat);
+    }
 
     /**
      * EWMA-update one page's heat without hot-candidate collection
      * (the region backend's probe path). Keeps the xray heat shadow
      * exact. Returns the new heat.
      */
-    std::uint16_t probeHeat(guestos::PageRef &p, bool accessed);
+    std::uint16_t probeHeat(guestos::PageRef &p, bool accessed,
+                            const HeatSink &sink);
 
     /**
      * Raise one page's heat to at least `floor` (region-level heat
      * applied to an emitted candidate), keeping the xray shadow exact.
      */
-    void raiseHeat(guestos::PageRef &p, std::uint16_t floor);
+    void raiseHeat(guestos::PageRef &p, std::uint16_t floor,
+                   const HeatSink &sink);
 
     /**
      * Close out a scan: record counters, accumulate cost, and emit

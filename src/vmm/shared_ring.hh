@@ -14,7 +14,6 @@
 #define HOS_VMM_SHARED_RING_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "guestos/page.hh"
@@ -34,11 +33,11 @@ struct TrackingDirectives
 {
     std::vector<TrackingRange> ranges;
     /**
-     * Exception predicate over page metadata; true = do not track.
-     * Defaults (installed by the coordinated policy) exclude
-     * short-lived I/O pages and unmigratable page-table/DMA pages.
+     * Exception list: the page types not to track. The coordinated
+     * policy publishes the short-lived I/O types and the unmigratable
+     * page-table/DMA types; empty tracks every type.
      */
-    std::function<bool(const guestos::PageRef &)> exception;
+    guestos::PageTypeMask exception = 0;
     std::uint64_t version = 0;
 };
 

@@ -3,13 +3,14 @@
  * Pluggable hotness backends: region-tracker invariants (bounded
  * count, full coverage, no overlap), the flat-cost sampling property,
  * split/merge adaptation, backend selection through the Scenario
- * hotness spec (JSON round-trip, rejected loose keys, sweep axes),
- * and region-backend determinism.
+ * hotness spec (JSON round-trip, rejected loose keys and values,
+ * sweep axes), and region-backend determinism.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "core/sweep.hh"
 #include "guestos/kernel.hh"
 #include "mem/machine_memory.hh"
 #include "vmm/hotness_pte.hh"
@@ -373,6 +374,71 @@ TEST(HotnessSpec, SweepAxisKeysAndDeprecatedShims)
     err.clear();
     EXPECT_FALSE(core::scenarioFromJson(*doc, &err).has_value());
     EXPECT_EQ(err, "unknown scenario key 'legacy_placement_sampling'");
+}
+
+TEST(HotnessSpec, RejectsValuesTheConfigCannotHold)
+{
+    // Each would panic in the event queue (a zero scan period), wrap
+    // the 16-bit heat threshold, or cast a negative to an unsigned
+    // field; every one is rejected with a diagnostic instead.
+    const std::pair<std::string, const char *> bad[] = {
+        {"hotness.interval_ms", "0"},
+        {"hotness.interval_ms", "0.5"},
+        {"hotness.interval_ms", "-100"},
+        {"hotness.interval_ms", "nan"},
+        {"hotness.hot_threshold", "70000"},
+        {"hotness.hot_threshold", "-1"},
+        {"hotness.hot_threshold", "96.5"},
+        {"hotness.pages_per_scan", "-1"},
+        {"hotness.pages_per_scan", "1e30"},
+        {"hotness.region_probes", "-8"},
+        {"hotness.region_merge_heat_delta", "65536"},
+    };
+    for (const auto &[key, value] : bad) {
+        const std::string sub = key.substr(std::string("hotness.").size());
+        core::Scenario s;
+        std::string err;
+        EXPECT_FALSE(core::applyScenarioParam(s, key, value, &err))
+            << key << "=" << value;
+        EXPECT_EQ(err.rfind(std::string("bad value '") + value +
+                                "' for '" + key + "': ",
+                            0),
+                  0u)
+            << err;
+        EXPECT_TRUE(s.hotness.isDefault()) << key << "=" << value;
+
+        // The Scenario JSON spelling goes through the same check.
+        const auto doc = sim::jsonParse(std::string(R"({"hotness": {")") +
+                                        sub + R"(": ")" + value + R"("}})");
+        ASSERT_TRUE(doc.has_value());
+        std::string jerr;
+        EXPECT_FALSE(core::scenarioFromJson(*doc, &jerr).has_value())
+            << key << "=" << value;
+        EXPECT_EQ(jerr, err);
+
+        // So does a sweep axis: the point never expands.
+        core::Sweep sweep{core::Scenario{}};
+        sweep.axis(key, std::vector<std::string>{"1", value});
+        std::string serr;
+        EXPECT_TRUE(sweep.points(&serr).empty()) << key << "=" << value;
+        EXPECT_NE(serr.find(err), std::string::npos) << serr;
+    }
+
+    // The edges of each range still load.
+    core::Scenario s;
+    std::string err;
+    for (const auto &[key, value] :
+         std::initializer_list<std::pair<const char *, const char *>>{
+             {"hotness.interval_ms", "1"},
+             {"hotness.hot_threshold", "0"},
+             {"hotness.hot_threshold", "65535"},
+             {"hotness.pages_per_scan", "0"},
+             {"hotness.pages_per_scan", "18446744073709551615"}}) {
+        EXPECT_TRUE(core::applyScenarioParam(s, key, value, &err))
+            << key << "=" << value << ": " << err;
+    }
+    EXPECT_EQ(s.hotness.hot_threshold, 65535u);
+    EXPECT_EQ(s.hotness.pages_per_scan, ~std::uint64_t(0));
 }
 
 TEST(HotnessSpec, RegionBackendRunsDeterministically)

@@ -124,9 +124,9 @@ TEST_F(TrackerFixture, GuidedScanHonorsRangesAndExceptions)
     guest->process(0).forEachVma([&](const guestos::Vma &vma) {
         d.ranges.push_back({0, vma.start, vma.end()});
     });
-    d.exception = [](const guestos::PageRef &p) {
-        return guestos::isShortLivedIo(p.type());
-    };
+    d.exception = guestos::pageTypeBit(guestos::PageType::PageCache) |
+                  guestos::pageTypeBit(guestos::PageType::BufferCache) |
+                  guestos::pageTypeBit(guestos::PageType::NetBuf);
     ring.publishDirectives(std::move(d));
 
     vmm::HotnessConfig cfg;

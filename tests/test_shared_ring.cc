@@ -1,7 +1,7 @@
 /**
  * @file
  * SharedRing: directive versioning, hot-page queueing, and the
- * exception predicate plumbing.
+ * exception list plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -53,19 +53,13 @@ TEST(SharedRing, ExceptionPredicateTravels)
 {
     SharedRing ring;
     TrackingDirectives d;
-    d.exception = [](const guestos::PageRef &p) {
-        return p.type() == guestos::PageType::PageCache;
-    };
+    d.exception = guestos::pageTypeBit(guestos::PageType::PageCache);
     ring.publishDirectives(std::move(d));
 
-    guestos::PageArray pa(2);
-    guestos::PageRef cache_page = pa.page(0);
-    cache_page.setType(guestos::PageType::PageCache);
-    guestos::PageRef anon_page = pa.page(1);
-    anon_page.setType(guestos::PageType::Anon);
-    ASSERT_TRUE(static_cast<bool>(ring.directives().exception));
-    EXPECT_TRUE(ring.directives().exception(cache_page));
-    EXPECT_FALSE(ring.directives().exception(anon_page));
+    const guestos::PageTypeMask exception = ring.directives().exception;
+    EXPECT_TRUE(exception &
+                guestos::pageTypeBit(guestos::PageType::PageCache));
+    EXPECT_FALSE(exception & guestos::pageTypeBit(guestos::PageType::Anon));
 }
 
 } // namespace
