@@ -12,15 +12,12 @@
  *   app        graphchi|xstream|metis|leveldb|redis|nginx (default graphchi)
  *   approach   slow|fast|random|numa|heap-od|od|lru|vmm|coord (default lru)
  *   fast_ratio FastMem:SlowMem capacity ratio, e.g. 0.25 (default 0.25)
- *   scale      workload scale 0..1 (default 0.2)
+ *   scale      workload scale in (0, 1] (default 0.2)
  *
  * Observability options:
  *   --trace=FILE            Chrome trace_event JSON (chrome://tracing)
  *   --trace-csv=FILE        same events as compact CSV
  *   --trace-categories=CSV  e.g. migration,scan,balloon (default all)
- *   --stats-interval=MS     periodic stats snapshots every MS of sim time
- *   --stats-out=FILE        snapshot time-series JSON
- *                           (default stats_timeseries.json)
  *   --results=FILE          machine-readable results JSON
  *   --set=KEY=VALUE         scenario override (repeatable): any
  *                           applyScenarioParam key, including the
@@ -48,16 +45,18 @@
  *                           embedded in --results output under
  *                           "metrics" (feed that file to hos-timeline)
  *
- * Unknown or misplaced --flags anywhere on the command line fail with
- * exit status 2 and a nearest-valid-flag suggestion.
+ * Exit status 2 marks every rejected input: an unknown or misplaced
+ * --flag (with a nearest-valid-flag suggestion), a malformed or
+ * rejected --set, an unknown app or approach, and a fast_ratio or
+ * scale out of range. The positionals go through the same checks as
+ * --set (core::applyScenarioParam).
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,7 +70,6 @@
 #include "sim/log.hh"
 #include "sim/table.hh"
 #include "trace/exporters.hh"
-#include "trace/stats_snapshot.hh"
 #include "trace/trace.hh"
 #include "xray/report.hh"
 #include "xray/xray.hh"
@@ -89,15 +87,13 @@ usage()
         "  app:      graphchi xstream metis leveldb redis nginx\n"
         "  approach: slow fast random numa heap-od od lru vmm coord\n"
         "  fast_ratio: FastMem as a fraction of SlowMem (default 0.25)\n"
-        "  scale:      workload scale (default 0.2)\n"
+        "  scale:      workload scale in (0, 1] (default 0.2)\n"
         "options:\n"
         "  --trace=FILE            Chrome trace JSON (chrome://tracing)\n"
         "  --trace-csv=FILE        trace as compact CSV\n"
         "  --trace-categories=CSV  alloc,migration,scan,balloon,swap,\n"
-        "                          hypercall,fairness,device,stats,all\n"
-        "  --stats-interval=MS     stats snapshot cadence in sim ms\n"
-        "  --stats-out=FILE        snapshot JSON "
-        "(default stats_timeseries.json)\n"
+        "                          hypercall,fairness,device,check,\n"
+        "                          prof,xray,all\n"
         "  --results=FILE          results JSON\n"
         "  --set=KEY=VALUE         scenario override (repeatable), e.g.\n"
         "                          --set=hotness.backend=region\n"
@@ -107,16 +103,16 @@ usage()
         "  --xray                  placement-quality telemetry "
         "(hos-explain input)\n"
         "  --metrics               windowed series + slowdown SLO "
-        "(hos-timeline input)");
+        "(hos-timeline input)\n"
+        "exit status 2: a rejected flag, --set value or argument");
 }
 
 /** Every flag this tool understands ('=' marks value-taking forms). */
 const char *const kKnownFlags[] = {
     "--trace=",      "--trace-csv=",      "--trace-categories=",
-    "--stats-interval=", "--stats-out=",  "--results=",
-    "--set=",        "--log-level=",      "--prof",
-    "--prof-collapsed=", "--xray",        "--metrics",
-    "--list",
+    "--results=",    "--set=",            "--log-level=",
+    "--prof",        "--prof-collapsed=", "--xray",
+    "--metrics",     "--list",
 };
 
 std::size_t
@@ -168,14 +164,21 @@ rejectFlag(const char *arg, const char *why)
     return 2;
 }
 
+/** Exit status 2 for a rejected --set value or positional argument. */
+int
+rejectValue(const std::string &why)
+{
+    std::fprintf(stderr, "%s\n", why.c_str());
+    usage();
+    return 2;
+}
+
 /** The observability flags, parsed off the front of argv. */
 struct Options
 {
     std::string trace_file;
     std::string trace_csv_file;
     std::string trace_categories;
-    double stats_interval_ms = 0.0;
-    std::string stats_out = "stats_timeseries.json";
     std::string results_file;
     bool prof = false;
     std::string prof_collapsed_file;
@@ -200,30 +203,10 @@ parseOptions(int &argc, char **&argv, Options &opt)
             dst = arg.substr(n);
             return true;
         };
-        std::string interval;
+        std::string value;
         if (eat("--trace=", opt.trace_file) ||
             eat("--trace-csv=", opt.trace_csv_file) ||
             eat("--trace-categories=", opt.trace_categories)) {
-            // handled
-        } else if (eat("--stats-interval=", interval)) {
-            static bool warned = false;
-            if (!warned) {
-                warned = true;
-                std::fprintf(stderr,
-                             "warning: --stats-interval is deprecated; "
-                             "the snapshotter now rides the shared "
-                             "windowed-series clock (prefer --metrics "
-                             "for per-VM telemetry)\n");
-            }
-            opt.stats_interval_ms = std::atof(interval.c_str());
-            if (opt.stats_interval_ms <= 0.0) {
-                std::fprintf(stderr,
-                             "--stats-interval wants a positive ms "
-                             "value\n");
-                usage();
-                return 1;
-            }
-        } else if (eat("--stats-out=", opt.stats_out)) {
             // handled
         } else if (eat("--results=", opt.results_file)) {
             // handled
@@ -235,17 +218,14 @@ parseOptions(int &argc, char **&argv, Options &opt)
             opt.xray = true;
         } else if (arg == "--metrics") {
             opt.metrics = true;
-        } else if (eat("--set=", interval)) {
-            const auto eq = interval.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::fprintf(stderr, "--set wants KEY=VALUE\n");
-                usage();
-                return 1;
-            }
-            opt.sets.emplace_back(interval.substr(0, eq),
-                                  interval.substr(eq + 1));
-        } else if (eat("--log-level=", interval)) {
-            sim::setLogLevel(std::atoi(interval.c_str()));
+        } else if (eat("--set=", value)) {
+            const auto eq = value.find('=');
+            if (eq == std::string::npos || eq == 0)
+                return rejectValue("--set wants KEY=VALUE");
+            opt.sets.emplace_back(value.substr(0, eq),
+                                  value.substr(eq + 1));
+        } else if (eat("--log-level=", value)) {
+            sim::setLogLevel(std::atoi(value.c_str()));
         } else {
             return rejectFlag(argv[1], "unknown option");
         }
@@ -277,25 +257,32 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const auto app = core::parseApp(argc > 1 ? argv[1] : "graphchi");
-    const auto approach =
-        core::parseApproach(argc > 2 ? argv[2] : "lru");
-    const double ratio = argc > 3 ? std::atof(argv[3]) : 0.25;
-    const double scale = argc > 4 ? std::atof(argv[4]) : 0.2;
-    if (!app || !approach || ratio <= 0.0 || scale <= 0.0 ||
-        scale > 1.0) {
-        usage();
-        return 1;
-    }
-
+    // The positionals take the --set path, checks included.
+    const auto arg = [&](int i, const char *fallback) {
+        return std::string(argc > i ? argv[i] : fallback);
+    };
     core::Scenario spec;
-    spec.app = *app;
-    spec.approach = *approach;
-    spec.scale = scale;
+    std::string err;
+    if (!core::applyScenarioParam(spec, "app", arg(1, "graphchi"), &err) ||
+        !core::applyScenarioParam(spec, "approach", arg(2, "lru"), &err) ||
+        !core::applyScenarioParam(spec, "scale", arg(4, "0.2"), &err))
+        return rejectValue(err);
     spec.slow_bytes = static_cast<std::uint64_t>(
-        scale * 8.0 * static_cast<double>(mem::gib));
-    spec.fast_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(spec.slow_bytes) * ratio);
+        spec.scale * 8.0 * static_cast<double>(mem::gib));
+    // fast_ratio sizes FastMem against SlowMem; the product is checked
+    // as fast_bytes, so an infinite or overflowing size is rejected.
+    const std::string ratio_text = arg(3, "0.25");
+    char *end = nullptr;
+    const double ratio = std::strtod(ratio_text.c_str(), &end);
+    if (ratio_text.empty() || *end != '\0' || !(ratio > 0.0)) {
+        return rejectValue("bad fast_ratio '" + ratio_text +
+                           "': need a number > 0");
+    }
+    char fast_bytes[64];
+    std::snprintf(fast_bytes, sizeof(fast_bytes), "%.0f",
+                  std::floor(static_cast<double>(spec.slow_bytes) * ratio));
+    if (!core::applyScenarioParam(spec, "fast_bytes", fast_bytes, &err))
+        return rejectValue("fast_ratio '" + ratio_text + "': " + err);
     if (opt.prof) {
         if (!prof::profilingCompiled)
             std::fprintf(stderr,
@@ -320,12 +307,8 @@ main(int argc, char **argv)
     // Scenario overrides land after the positionals so --set wins
     // (e.g. --set=hotness.backend=region swaps the tracker backend).
     for (const auto &[key, value] : opt.sets) {
-        std::string err;
-        if (!core::applyScenarioParam(spec, key, value, &err)) {
-            std::fprintf(stderr, "--set=%s=%s: %s\n", key.c_str(),
-                         value.c_str(), err.c_str());
-            return 2;
-        }
+        if (!core::applyScenarioParam(spec, key, value, &err))
+            return rejectValue("--set=" + key + "=" + value + ": " + err);
     }
 
     // Baseline for the gain column (runs untraced — its events would
@@ -342,18 +325,8 @@ main(int argc, char **argv)
 
     auto sys = core::systemFor(spec);
     auto &slot = sys->slot(0);
-    // The system's own sink, not the process-wide tracer: another
-    // system in this process would not interleave with this timeline.
     if (tracing)
         sys->enableTracing(trace::parseCategories(opt.trace_categories));
-
-    std::unique_ptr<trace::StatsSnapshotter> snapshotter;
-    if (opt.stats_interval_ms > 0.0) {
-        snapshotter = std::make_unique<trace::StatsSnapshotter>(
-            sys->statRegistry(), slot.kernel->events(),
-            static_cast<sim::Duration>(opt.stats_interval_ms * 1e6));
-        snapshotter->start();
-    }
 
     const auto res =
         sys->runOne(slot, workload::makeApp(spec.app, spec.scale));
@@ -474,11 +447,6 @@ main(int argc, char **argv)
         std::printf("prof collapsed: %s (%zu rows)\n",
                     opt.prof_collapsed_file.c_str(),
                     profile.entries.size());
-    }
-    if (snapshotter && snapshotter->writeJson(opt.stats_out)) {
-        std::printf("stats: %s (%llu snapshots)\n", opt.stats_out.c_str(),
-                    static_cast<unsigned long long>(
-                        snapshotter->snapshots().size()));
     }
     if (!opt.results_file.empty()) {
         auto record =

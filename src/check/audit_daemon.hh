@@ -2,11 +2,10 @@
  * @file
  * Periodic cross-layer audit daemon.
  *
- * Mirrors the stats-snapshot daemon: a periodic event on a guest's
- * event queue that runs the full audit walk (auditVmm) every
- * `interval` of simulated time, so corruption is caught within one
- * audit period of the event that caused it instead of at the end of
- * the run. HeteroSystem starts one automatically in HOS_CHECK=full
+ * A periodic event on a guest's event queue that runs the full audit
+ * walk (auditVmm) every `interval` of simulated time, so corruption
+ * is caught within one audit period of the event that caused it
+ * instead of at the end of the run. HeteroSystem starts one automatically in HOS_CHECK=full
  * builds; tests and tools can also drive runOnce() by hand.
  */
 

@@ -84,8 +84,8 @@ AuditResult auditPageCache(guestos::GuestKernel &kernel);
 
 /**
  * Reconcile the kernel's StatRegistry gauges against live zone
- * state: refreshes the registry (running the refresh hooks as the
- * snapshot daemon would), then recomputes node free/managed counts
+ * state: refreshes the registry (running the refresh hooks as a
+ * stat dump would), then recomputes node free/managed counts
  * independently. Catches dead or mis-wired refresh hooks.
  */
 AuditResult auditStats(guestos::GuestKernel &kernel,

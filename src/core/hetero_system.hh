@@ -18,6 +18,7 @@
 #define HOS_CORE_HETERO_SYSTEM_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mem/cache_model.hh"
@@ -26,6 +27,7 @@
 #include "policy/placement_policy.hh"
 #include "prof/prof.hh"
 #include "sim/stats.hh"
+#include "trace/session.hh"
 #include "trace/trace.hh"
 #include "vmm/vmm.hh"
 #include "workload/workload.hh"
@@ -83,9 +85,9 @@ class HeteroSystem
     const HostConfig &config() const { return cfg_; }
 
     /**
-     * Every stat group in the system — the VMM's and one per guest
-     * kernel — with refresh hooks that sync them from live state.
-     * The stats-snapshot daemon samples this registry.
+     * Every stat group in the system — the VMM's, one per guest
+     * kernel, and one per enabled telemetry consumer — with refresh
+     * hooks that sync them from live state.
      */
     sim::StatRegistry &statRegistry() { return registry_; }
 
@@ -100,18 +102,23 @@ class HeteroSystem
     std::size_t numVms() const { return slots_.size(); }
     VmSlot &slot(std::size_t i) { return *slots_[i]; }
 
+    /*
+     * Telemetry. Each enableX() adds one consumer to this system's
+     * obs::Session; runOne/runMany install that session on the
+     * running thread (obs::Scope), so every hook feeds this system's
+     * consumers and no other system's. With nothing enabled nothing
+     * is installed and the hooks stay on their disabled path.
+     */
+
     /**
-     * Opt this system into its own trace sink: while runOne/runMany
-     * execute, events emitted on the running thread land in
-     * traceSink() instead of the process-wide trace::tracer().
-     * Multiple systems (e.g. parallel sweep points) each keep their
-     * own event stream. Systems that never call this keep the legacy
-     * behavior — events go to the global tracer if it is enabled.
+     * Record trace events in `mask` into traceSink() while
+     * runOne/runMany execute. Multiple systems (e.g. parallel sweep
+     * points) each keep their own event stream.
      */
     void enableTracing(
         std::uint32_t mask = static_cast<std::uint32_t>(
             trace::Category::All));
-    bool tracingEnabled() const { return trace_enabled_; }
+    bool tracingEnabled() const { return session_.tracer != nullptr; }
 
     /** This system's private trace ring (see enableTracing). */
     trace::Tracer &traceSink() { return tracer_; }
@@ -119,13 +126,13 @@ class HeteroSystem
     /**
      * Opt this system into span profiling: while runOne/runMany
      * execute, HOS_PROF_SPAN spans and kernel charges on the running
-     * thread attribute into profiler() (a per-system ledger, isolated
-     * exactly like the trace sink). Registers the "prof" stat group
-     * with statRegistry(). No-op in HOS_PROF=off builds beyond the
-     * bookkeeping flag.
+     * thread attribute into profiler(), a per-system ledger. Registers
+     * the "prof" stat group with statRegistry() and audits the span
+     * balance (check::auditProf) after every run. No-op in
+     * HOS_PROF=off builds beyond the bookkeeping.
      */
     void enableProfiling();
-    bool profilingEnabled() const { return prof_enabled_; }
+    bool profilingEnabled() const { return session_.profiler != nullptr; }
 
     /** This system's span ledger (see enableProfiling). */
     prof::Profiler &profiler() { return profiler_; }
@@ -133,15 +140,15 @@ class HeteroSystem
     /**
      * Opt this system into placement x-ray telemetry: while
      * runOne/runMany execute, the xray hooks on the running thread
-     * feed xrayRecorder() (per-system, isolated like the trace sink
-     * and profiler). Existing VMs' live pages are seeded into the
-     * shadow immediately; VMs added later seed on creation. Registers
-     * the "xray" stat group with statRegistry() and cross-checks the
-     * shadow against page truth (check::auditXray) after every run.
-     * No-op beyond the flag in HOS_XRAY=off builds.
+     * feed xrayRecorder(), a per-system shadow. Existing VMs' live
+     * pages are seeded into the shadow immediately; VMs added later
+     * seed on creation. Registers the "xray" stat group with
+     * statRegistry() and cross-checks the shadow against page truth
+     * (check::auditXray) after every run. No-op beyond the flag in
+     * HOS_XRAY=off builds.
      */
     void enableXray(xray::XrayConfig cfg = {});
-    bool xrayEnabled() const { return xray_enabled_; }
+    bool xrayEnabled() const { return session_.recorder != nullptr; }
 
     /** This system's placement recorder (see enableXray). */
     xray::Recorder &xrayRecorder() { return xray_; }
@@ -152,15 +159,14 @@ class HeteroSystem
      * rates, DRF dominant share, and — when xray is also enabled —
      * misplaced heat mass) and arms a periodic sampler on each VM's
      * event queue. While runOne/runMany execute, workload phase hooks
-     * feed metricsCollector() (per-system, isolated like the trace
-     * sink), building per-VM slowdown histograms; after every run
-     * check::auditMetrics reconciles the aggregates against the
-     * kernel's overhead accounts. The sampler actions are read-only,
-     * so simulation output is bit-identical with metrics on or off.
-     * No-op beyond the flag in HOS_METRICS=off builds.
+     * feed metricsCollector(), building per-VM slowdown histograms;
+     * after every run check::auditMetrics reconciles the aggregates
+     * against the kernel's overhead accounts. The sampler actions are
+     * read-only, so simulation output is bit-identical with metrics
+     * on or off. No-op beyond the flag in HOS_METRICS=off builds.
      */
     void enableMetrics(metrics::MetricsConfig cfg = {});
-    bool metricsEnabled() const { return metrics_enabled_; }
+    bool metricsEnabled() const { return session_.collector != nullptr; }
 
     /** This system's metrics collector (see enableMetrics). */
     metrics::Collector &metricsCollector() { return metrics_; }
@@ -168,9 +174,11 @@ class HeteroSystem
     /** Build the workload environment for a VM. */
     workload::VmEnv envFor(VmSlot &slot);
 
-    /** Run one workload to completion on one VM. */
+    /** Run one workload to completion on one VM (runMany of one). */
     workload::Workload::Result
     runOne(VmSlot &slot, const workload::WorkloadFactory &factory);
+
+    using RunPair = std::pair<VmSlot *, workload::WorkloadFactory>;
 
     /**
      * Run one workload per VM in lockstep (smallest-elapsed-first
@@ -178,8 +186,7 @@ class HeteroSystem
      * contending sharers. Results are indexed like `pairs`.
      */
     std::vector<workload::Workload::Result>
-    runMany(const std::vector<
-            std::pair<VmSlot *, workload::WorkloadFactory>> &pairs);
+    runMany(const std::vector<RunPair> &pairs);
 
   private:
     HostConfig cfg_;
@@ -190,16 +197,17 @@ class HeteroSystem
     void seedXray(VmSlot &slot);
     /** Register a VM's signals and arm its periodic sampler. */
     void seedMetrics(VmSlot &slot);
+    /** runOne and runMany: install the session, run, audit. */
+    std::vector<workload::Workload::Result>
+    runLockstep(std::span<const RunPair> pairs);
 
     sim::StatRegistry registry_;
     trace::Tracer tracer_;
     prof::Profiler profiler_;
     xray::Recorder xray_;
     metrics::Collector metrics_;
-    bool trace_enabled_ = false;
-    bool prof_enabled_ = false;
-    bool xray_enabled_ = false;
-    bool metrics_enabled_ = false;
+    /** The enabled consumers above (null = off). */
+    obs::Session session_;
     unsigned active_vms_ = 1;
 };
 

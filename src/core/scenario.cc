@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "sim/log.hh"
@@ -109,14 +110,14 @@ badNumber(const std::string &key, const std::string &value,
 }
 
 /**
- * Accept `num` for hotness key `key` when it lies in [lo, hi] and,
- * for an integer key, is whole; otherwise report why. Keeps every
- * later cast to the config's field type defined.
+ * Accept `num` for key `key` when it lies in [lo, hi] and, for an
+ * integer key, is whole; otherwise report why. NaN fails every
+ * bound. Keeps every later cast to the field's type defined.
  */
 bool
-hotnessInRange(const std::string &key, const std::string &value,
-               double num, double lo, double hi, bool whole,
-               const std::string &why, std::string *error)
+inRange(const std::string &key, const std::string &value, double num,
+        double lo, double hi, bool whole, const std::string &why,
+        std::string *error)
 {
     if (num >= lo && num <= hi && (!whole || num == std::floor(num)))
         return true;
@@ -128,6 +129,32 @@ hotnessInRange(const std::string &key, const std::string &value,
 constexpr double maxU32 = 4294967295.0;
 /** Largest double below 2^64, the bound of a u64 field's double path. */
 constexpr double maxU64 = 18446744073709549568.0;
+/** Largest finite double: an upper bound that only rejects inf. */
+constexpr double maxFinite = std::numeric_limits<double>::max();
+/** Smallest positive double: a lower bound that rejects 0. */
+constexpr double minPositive = std::numeric_limits<double>::denorm_min();
+/** Guest CPUs: each carries per-node page lists and page caches. */
+constexpr double maxCpus = 1024;
+
+/**
+ * Accept a u64 count for `key`: a digit string loads exactly
+ * (exactU64) up to 2^64 - 1, any other number must be whole and in
+ * [0, 2^64).
+ */
+bool
+wholeU64(const std::string &key, const std::string &value, double num,
+         std::string *error)
+{
+    if (!value.empty() &&
+        value.find_first_not_of("0123456789") == std::string::npos) {
+        errno = 0;
+        std::strtoull(value.c_str(), nullptr, 10);
+        if (errno != ERANGE)
+            return true;
+    }
+    return inRange(key, value, num, 0, maxU64, true,
+                   "need a whole number in [0, 2^64)", error);
+}
 
 } // namespace
 
@@ -460,25 +487,14 @@ applyScenarioParam(Scenario &s, const std::string &key,
             return badNumber(key, value, error);
         const auto range = [&](double lo, double hi, bool whole,
                                const char *why) {
-            return hotnessInRange(key, value, num, lo, hi, whole, why,
-                                  error);
+            return inRange(key, value, num, lo, hi, whole, why, error);
         };
         const auto count32 = [&] {
             return range(0, maxU32, true,
                          "need a whole number in [0, 2^32)");
         };
         const auto count64 = [&] {
-            // Digit strings load exactly (exactU64) up to 2^64 - 1.
-            if (!value.empty() &&
-                value.find_first_not_of("0123456789") ==
-                    std::string::npos) {
-                errno = 0;
-                std::strtoull(value.c_str(), nullptr, 10);
-                if (errno != ERANGE)
-                    return true;
-            }
-            return range(0, maxU64, true,
-                         "need a whole number in [0, 2^64)");
+            return wholeU64(key, value, num, error);
         };
         if (sub == "interval_ms") {
             // The scan is a periodic event: a period under 1 ms
@@ -565,27 +581,52 @@ applyScenarioParam(Scenario &s, const std::string &key,
     double num = 0.0;
     if (!parseNumber(value, num))
         return badNumber(key, value, error);
-    const auto bytes = [&]() { return exactU64(value, num); };
-    if (key == "slow_lat_factor" || key == "slow_lat") {
-        s.slow_lat_factor = num;
-    } else if (key == "slow_bw_factor" || key == "slow_bw") {
-        s.slow_bw_factor = num;
-    } else if (key == "fast_bytes") {
-        s.fast_bytes = bytes();
-    } else if (key == "slow_bytes") {
-        s.slow_bytes = bytes();
-    } else if (key == "llc_bytes") {
-        s.llc_bytes = bytes();
-    } else if (key == "scale") {
+    // Each check runs before its field changes, so a rejected value
+    // leaves the scenario as it was.
+    const auto range = [&](double lo, double hi, bool whole,
+                           const char *why) {
+        return inRange(key, value, num, lo, hi, whole, why, error);
+    };
+    const auto count64 = [&](std::uint64_t &field) {
+        if (!wholeU64(key, value, num, error))
+            return false;
+        field = exactU64(value, num);
+        return true;
+    };
+    const auto factor = [&](double &field) {
+        if (!range(1, maxFinite, false,
+                   "need a finite factor >= 1 (throttling only slows "
+                   "memory down)"))
+            return false;
+        field = num;
+        return true;
+    };
+    if (key == "slow_lat_factor" || key == "slow_lat")
+        return factor(s.slow_lat_factor);
+    if (key == "slow_bw_factor" || key == "slow_bw")
+        return factor(s.slow_bw_factor);
+    if (key == "fast_bytes")
+        return count64(s.fast_bytes);
+    if (key == "slow_bytes")
+        return count64(s.slow_bytes);
+    if (key == "llc_bytes")
+        return count64(s.llc_bytes);
+    if (key == "seed")
+        return count64(s.seed);
+    if (key == "scale") {
+        if (!range(minPositive, 1, false, "need a scale in (0, 1]"))
+            return false;
         s.scale = num;
-    } else if (key == "seed") {
-        s.seed = bytes();
-    } else if (key == "cpus") {
-        s.cpus = static_cast<unsigned>(num);
-    } else {
-        return setError(error, "unknown scenario key '" + key + "'");
+        return true;
     }
-    return true;
+    if (key == "cpus") {
+        if (!range(1, maxCpus, true,
+                   "need a whole number of CPUs in [1, 1024]"))
+            return false;
+        s.cpus = static_cast<unsigned>(num);
+        return true;
+    }
+    return setError(error, "unknown scenario key '" + key + "'");
 }
 
 } // namespace hos::core

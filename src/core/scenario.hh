@@ -248,8 +248,11 @@ std::optional<Scenario> loadScenario(const std::string &path,
 /**
  * Set one field by its JSON key from a scalar's text ("approach" =
  * "coord", "slow_lat_factor" = "5", "seed" = "42"...). The engine
- * behind sweep axes and the run_sweep --set flag. Returns false (with
- * `error`) for unknown keys or unparseable values.
+ * behind sweep axes, scenario JSON and the --set flags. Returns false
+ * (with `error`, leaving `s` unchanged) for unknown keys, unparseable
+ * values and values out of range: scale in (0, 1], finite lat/bw
+ * factors >= 1, whole cpus in [1, 1024], whole byte counts and seeds
+ * in [0, 2^64).
  */
 bool applyScenarioParam(Scenario &s, const std::string &key,
                         const std::string &value,

@@ -274,8 +274,8 @@ class GuestKernel final : public MmBacking,
     /**
      * Refresh stats() from live subsystem state (allocator, LRU,
      * balloon, swap, page cache, per-node occupancy, overhead
-     * accounts). Called by the stats-snapshot daemon via the
-     * experiment's StatRegistry.
+     * accounts). Called through the system's StatRegistry refresh
+     * hook (audits, stat dumps).
      */
     void syncStats();
 

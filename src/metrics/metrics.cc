@@ -170,12 +170,6 @@ Collector::enable(MetricsConfig cfg)
 }
 
 void
-Collector::disable()
-{
-    enabled_ = false;
-}
-
-void
 Collector::clear()
 {
     vms_.clear();
@@ -350,10 +344,5 @@ Collector::syncStats()
             .set(static_cast<std::int64_t>(s.total_overhead));
     }
 }
-
-namespace detail {
-Collector *g_active = nullptr;
-thread_local Collector *t_active = nullptr;
-} // namespace detail
 
 } // namespace hos::metrics

@@ -38,8 +38,9 @@
  *     Sampling events ride the guest event queues but their actions
  *     are read-only, so metrics-on runs produce byte-identical
  *     simulation results.
- *  4. Isolation: a thread-local active collector (ScopedCollector)
- *     keeps parallel sweep points apart.
+ *  4. Isolation: hooks feed the collector of the calling thread's
+ *     obs::Session (trace/session.hh), which keeps parallel sweep
+ *     points apart.
  *
  * Layering: metrics sits between trace and guestos (like prof/xray),
  * so it cannot name guestos or core types. VM ids and signal values
@@ -58,6 +59,7 @@
 #include "sim/series.hh"
 #include "sim/stats.hh"
 #include "sim/time.hh"
+#include "trace/session.hh"
 
 #ifndef HOS_METRICS_LEVEL
 #define HOS_METRICS_LEVEL 1
@@ -171,7 +173,7 @@ struct MetricsReport;
 /**
  * The per-run collector: signal registry, sampling, and the slowdown
  * estimator. Single-threaded per instance; cross-thread isolation
- * comes from ScopedCollector, exactly like xray::ScopedRecorder.
+ * comes from the per-thread obs::Session.
  */
 class Collector
 {
@@ -179,7 +181,6 @@ class Collector
     Collector();
 
     void enable(MetricsConfig cfg = {});
-    void disable();
     bool enabled() const { return enabled_; }
 
     /** Drop all per-VM state, series and histograms. */
@@ -237,7 +238,7 @@ class Collector
     std::uint64_t slowdownPpmSum(std::uint16_t vm) const;
     const HdrHistogram *slowdownHistogram(std::uint16_t vm) const;
 
-    /** The "metrics" stat group (for the snapshot machinery). */
+    /** The "metrics" stat group (registered with the StatRegistry). */
     sim::StatGroup &stats() { return stats_; }
     /** Refresh the gauges from live state (registry refresh hook). */
     void syncStats();
@@ -297,19 +298,6 @@ class Collector
     sim::StatGroup stats_{"metrics"};
 };
 
-namespace detail {
-/** Global fallback: set when a process-wide collector is enabled. */
-extern Collector *g_active;
-/** Thread-local override installed by ScopedCollector. */
-extern thread_local Collector *t_active;
-
-inline Collector *
-activeCollector()
-{
-    return t_active != nullptr ? t_active : g_active;
-}
-} // namespace detail
-
 /**
  * The collector hooks should feed, or nullptr when metrics is off.
  * At HOS_METRICS_LEVEL=0 this is constant-null and every
@@ -319,48 +307,12 @@ inline Collector *
 active()
 {
 #if HOS_METRICS_LEVEL >= 1
-    return detail::activeCollector();
+    const obs::Session *s = obs::current();
+    return s ? s->collector : nullptr;
 #else
     return nullptr;
 #endif
 }
-
-/**
- * RAII install of a per-thread active collector, mirroring
- * xray::ScopedRecorder. A null collector is a no-op.
- */
-class ScopedCollector
-{
-  public:
-    explicit ScopedCollector(Collector *c)
-    {
-#if HOS_METRICS_LEVEL >= 1
-        if (c == nullptr)
-            return;
-        prev_ = detail::t_active;
-        detail::t_active = c;
-        installed_ = true;
-#else
-        (void)c;
-#endif
-    }
-    ~ScopedCollector()
-    {
-#if HOS_METRICS_LEVEL >= 1
-        if (installed_)
-            detail::t_active = prev_;
-#endif
-    }
-
-    ScopedCollector(const ScopedCollector &) = delete;
-    ScopedCollector &operator=(const ScopedCollector &) = delete;
-
-  private:
-#if HOS_METRICS_LEVEL >= 1
-    Collector *prev_ = nullptr;
-    bool installed_ = false;
-#endif
-};
 
 } // namespace hos::metrics
 

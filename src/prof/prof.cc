@@ -10,9 +10,6 @@
 namespace hos::prof {
 
 namespace detail {
-Profiler *g_active = nullptr;
-thread_local Profiler *t_active = nullptr;
-
 std::uint64_t
 hostNow()
 {
@@ -155,31 +152,6 @@ Profiler::Profiler()
     // through this hook — trace sits below prof and cannot name
     // SpanKind itself.
     trace::setSpanNameResolver(&spanNameResolver);
-}
-
-Profiler &
-profiler()
-{
-    static Profiler p;
-    return p;
-}
-
-void
-Profiler::enable()
-{
-    enabled_ = true;
-    // Only the process-wide profiler becomes the global fallback;
-    // per-system profilers are reached through ScopedProfiler.
-    if (this == &profiler())
-        detail::g_active = this;
-}
-
-void
-Profiler::disable()
-{
-    enabled_ = false;
-    if (this == &profiler() && detail::g_active == this)
-        detail::g_active = nullptr;
 }
 
 void

@@ -24,10 +24,10 @@
  *  3. Bit-identical simulation: profiling observes charges, it never
  *     creates or reorders them. Golden-determinism tests run the
  *     pinned matrix prof-on and prof-off and compare Results.
- *  4. Isolation: like trace::ScopedSink, a thread-local active
- *     profiler (ScopedProfiler) keeps parallel sweep points from
- *     interleaving; HeteroSystem installs its own profiler around
- *     runOne/runMany.
+ *  4. Isolation: spans and charges go to the profiler of the calling
+ *     thread's obs::Session (trace/session.hh), so parallel sweep
+ *     points never interleave; HeteroSystem installs its session
+ *     around runOne/runMany.
  *
  * Layering: prof sits between trace and guestos, so it cannot name
  * guestos::OverheadKind. Charges carry the kind as a plain index;
@@ -46,6 +46,7 @@
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/time.hh"
+#include "trace/session.hh"
 
 #ifndef HOS_PROF_LEVEL
 #define HOS_PROF_LEVEL 1
@@ -150,22 +151,12 @@ struct ProfileReport
 /**
  * The span stack plus attribution ledger for one run (or one
  * HeteroSystem). All bookkeeping is per-instance and single-threaded;
- * cross-thread isolation comes from ScopedProfiler, exactly like
- * trace::Tracer/ScopedSink.
+ * cross-thread isolation comes from the per-thread obs::Session.
  */
 class Profiler
 {
   public:
     Profiler();
-
-    /**
-     * Mark this profiler active. The process-wide profiler()
-     * additionally becomes the fallback for threads without a
-     * ScopedProfiler installed.
-     */
-    void enable();
-    void disable();
-    bool enabled() const { return enabled_; }
 
     /** Drop the ledger, the path tree, and the span counters. */
     void clear();
@@ -237,7 +228,6 @@ class Profiler
 
     std::string pathOf(std::uint32_t node) const;
 
-    bool enabled_ = false;
     std::vector<Node> nodes_;
     /** (parent, kind) -> interned node id. */
     std::map<std::pair<std::uint32_t, std::uint8_t>, std::uint32_t>
@@ -249,19 +239,13 @@ class Profiler
     sim::StatGroup stats_{"prof"};
 };
 
-/** The process-wide default profiler (legacy single-run flows). */
-Profiler &profiler();
-
 namespace detail {
-/** Global fallback: set when the process-wide profiler is enabled. */
-extern Profiler *g_active;
-/** Thread-local override installed by ScopedProfiler. */
-extern thread_local Profiler *t_active;
-
+/** The profiler of this thread's session, or nullptr. */
 inline Profiler *
 activeProfiler()
 {
-    return t_active != nullptr ? t_active : g_active;
+    const obs::Session *s = obs::current();
+    return s ? s->profiler : nullptr;
 }
 
 /** Host steady_clock in ns (defined in prof.cc — the one sanctioned
@@ -285,46 +269,6 @@ onCharge(std::uint8_t cost_kind, sim::Duration d)
     (void)d;
 #endif
 }
-
-/**
- * RAII install of a per-thread active profiler. While alive, spans
- * and charges on the constructing thread attribute into `p`;
- * destruction restores the previous profiler (scopes nest). A null
- * profiler is a no-op, so callers can write
- * `ScopedProfiler guard(profilingWanted ? &prof : nullptr);`.
- */
-class ScopedProfiler
-{
-  public:
-    explicit ScopedProfiler(Profiler *p)
-    {
-#if HOS_PROF_LEVEL >= 1
-        if (p == nullptr)
-            return;
-        prev_ = detail::t_active;
-        detail::t_active = p;
-        installed_ = true;
-#else
-        (void)p;
-#endif
-    }
-    ~ScopedProfiler()
-    {
-#if HOS_PROF_LEVEL >= 1
-        if (installed_)
-            detail::t_active = prev_;
-#endif
-    }
-
-    ScopedProfiler(const ScopedProfiler &) = delete;
-    ScopedProfiler &operator=(const ScopedProfiler &) = delete;
-
-  private:
-#if HOS_PROF_LEVEL >= 1
-    Profiler *prev_ = nullptr;
-    bool installed_ = false;
-#endif
-};
 
 #if HOS_PROF_LEVEL >= 1
 

@@ -17,9 +17,8 @@
  * as much as the steady state. Memory is O(capacity) regardless of
  * run length.
  *
- * The value type is a template parameter: hos::metrics instantiates
- * std::int64_t (its integer-only rule), the stats snapshotter a full
- * snapshot record. Both ride the same decimation clock.
+ * The value type is a template parameter; hos::metrics instantiates
+ * std::int64_t (its integer-only rule).
  */
 
 #ifndef HOS_SIM_SERIES_HH

@@ -143,7 +143,7 @@ class StatGroup
      * Visit every statistic as a named scalar sample — counters and
      * gauges by value, distributions as .count/.mean/.min/.max,
      * histograms as .samples plus per-bucket counts. This is the
-     * one flattening the snapshot/export machinery relies on.
+     * one flattening the export machinery relies on.
      */
     void
     forEachScalar(const std::function<void(const std::string &, double)>
@@ -160,8 +160,8 @@ class StatGroup
 /**
  * A central directory of StatGroups, discoverable by name. Components
  * register their group (optionally with a refresh hook that syncs the
- * group from live subsystem state); the snapshot daemon and dump
- * paths walk the registry instead of knowing each component.
+ * group from live subsystem state); the audit and dump paths walk
+ * the registry instead of knowing each component.
  */
 class StatRegistry
 {

@@ -7,12 +7,6 @@
 
 namespace hos::trace {
 
-namespace detail {
-std::uint32_t g_mask = 0;
-thread_local Tracer *t_sink = nullptr;
-thread_local std::uint32_t t_mask = 0;
-} // namespace detail
-
 namespace {
 
 constexpr std::array<EventTypeInfo, numEventTypes> kEventInfo = {{
@@ -136,23 +130,10 @@ parseCategories(const std::string &csv)
     return mask;
 }
 
-Tracer &
-tracer()
-{
-    static Tracer t;
-    return t;
-}
-
 void
 Tracer::enable(std::uint32_t mask)
 {
     mask_ = mask;
-    // Only the global default tracer mirrors into g_mask; per-system
-    // tracers reach emit() through the thread-local sink instead.
-    if (this == &tracer())
-        detail::g_mask = mask;
-    if (detail::t_sink == this)
-        detail::t_mask = mask;
     if (mask != 0 && ring_.capacity() < capacity_)
         ring_.reserve(capacity_);
 }
@@ -161,10 +142,6 @@ void
 Tracer::disable()
 {
     mask_ = 0;
-    if (this == &tracer())
-        detail::g_mask = 0;
-    if (detail::t_sink == this)
-        detail::t_mask = 0;
 }
 
 void
@@ -206,25 +183,6 @@ Tracer::record(EventType type, sim::Tick ts, std::uint64_t a0,
         head_ = (head_ + 1) % capacity_;
     }
     ++recorded_;
-}
-
-ScopedSink::ScopedSink(Tracer *sink)
-{
-    if (!sink)
-        return;
-    prev_sink_ = detail::t_sink;
-    prev_mask_ = detail::t_mask;
-    detail::t_sink = sink;
-    detail::t_mask = sink->mask();
-    installed_ = true;
-}
-
-ScopedSink::~ScopedSink()
-{
-    if (!installed_)
-        return;
-    detail::t_sink = prev_sink_;
-    detail::t_mask = prev_mask_;
 }
 
 void

@@ -11,17 +11,16 @@
  *
  * Design constraints, in order:
  *  1. Zero measurable cost when disabled: the emit() fast path is a
- *     thread-local sink check plus one plain global mask load. Benches
- *     run with tracing off and must not pay for its existence.
+ *     thread-local session check and a branch. Benches run with
+ *     tracing off and must not pay for its existence.
  *  2. Bounded memory: a fixed-capacity ring; when full, the oldest
  *     records are overwritten and counted as dropped.
  *  3. Determinism: two identical runs produce identical traces — no
  *     wall-clock anywhere, only sim ticks.
- *  4. Isolation: emit() routes to a thread-local sink when one is
- *     installed (ScopedSink), falling back to the process-wide
- *     tracer() otherwise. Two HeteroSystems running on different
- *     sweep threads each collect their own events; nothing
- *     interleaves.
+ *  4. Isolation: emit() records into the tracer of the calling
+ *     thread's obs::Session (trace/session.hh) and nowhere else. Two
+ *     HeteroSystems running on different sweep threads each collect
+ *     their own events; nothing interleaves.
  *
  * Records carry up to three uint64 arguments whose meaning is fixed
  * per event type (see eventTypeInfo) so exporters can name them.
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "sim/time.hh"
+#include "trace/session.hh"
 
 namespace hos::trace {
 
@@ -50,7 +50,7 @@ enum class Category : std::uint32_t {
     Hypercall = 1u << 5, ///< populate / unpopulate hypercalls
     Fairness = 1u << 6,  ///< DRF reallocation decisions
     Device = 1u << 7,    ///< memory-device service batches
-    Stats = 1u << 8,     ///< periodic stats snapshots
+    Stats = 1u << 8,     ///< stats snapshots (nothing emits these)
     Check = 1u << 9,     ///< invariant-check failures (hos::check)
     Prof = 1u << 10,     ///< profiler span begin/end (hos::prof)
     Xray = 1u << 11,     ///< placement-quality telemetry (hos::xray)
@@ -74,7 +74,7 @@ enum class EventType : std::uint16_t {
     HypercallUnpopulate,///< a0=guest node, a1=pages
     DrfReclaim,         ///< a0=victim vm, a1=tier, a2=reclaimed
     DeviceBatch,        ///< a0=loads, a1=stores, a2=bytes
-    StatsSnapshot,      ///< a0=snapshot index, a1=groups sampled
+    StatsSnapshot,      ///< unused; holds later types' numbers
     CheckFailure,       ///< a0=CheckKind, a1=subject pfn/mfn
     SpanBegin,          ///< a0=prof::SpanKind, a1=depth after open
     SpanEnd,            ///< a0=prof::SpanKind, a1=depth before close
@@ -127,10 +127,8 @@ struct Record
 };
 
 /**
- * Fixed-capacity ring buffer of trace records. Each Tracer carries its
- * own category mask; the process-wide tracer() additionally mirrors
- * its mask into detail::g_mask so the disabled fast path stays one
- * global load for code that never installs a sink.
+ * Fixed-capacity ring buffer of trace records, with its own category
+ * mask. emit() reaches it through the calling thread's obs::Session.
  */
 class Tracer
 {
@@ -176,34 +174,21 @@ class Tracer
     std::uint64_t recorded_ = 0;
 };
 
-/**
- * The process-wide default tracer: emit() lands here on threads with
- * no installed sink. Legacy single-run flows keep using it directly.
- */
-Tracer &tracer();
-
 namespace detail {
-/**
- * Plain global mirror of the *global* tracer's category mask.
- * Constant-initialized, so the disabled-path check in emit() is one
- * relaxed load with no static-init guard — the whole point of the
- * design. Per-instance Tracers never touch it.
- */
-extern std::uint32_t g_mask;
-
-/**
- * Thread-local sink override. When non-null, emit() on this thread
- * records exclusively into it using t_mask (a mirror of the sink's
- * own mask, kept hot so the fast path never chases the pointer).
- */
-extern thread_local Tracer *t_sink;
-extern thread_local std::uint32_t t_mask;
-
-/** The mask emit() filters against on this thread. */
-inline std::uint32_t
-effectiveMask()
+/** The tracer of this thread's session, or nullptr. */
+inline Tracer *
+activeTracer()
 {
-    return t_sink ? t_mask : g_mask;
+    const obs::Session *s = obs::current();
+    return s ? s->tracer : nullptr;
+}
+
+/** The categories recorded on this thread (0 with no tracer). */
+inline std::uint32_t
+activeMask()
+{
+    const Tracer *t = activeTracer();
+    return t ? t->mask() : 0;
 }
 } // namespace detail
 
@@ -211,57 +196,34 @@ effectiveMask()
 inline bool
 enabled(Category c)
 {
-    return (detail::effectiveMask() & static_cast<std::uint32_t>(c)) != 0;
+    return (detail::activeMask() & static_cast<std::uint32_t>(c)) != 0;
 }
 
 /** True when any category is being recorded on this thread. */
 inline bool
 anyEnabled()
 {
-    return detail::effectiveMask() != 0;
+    return detail::activeMask() != 0;
 }
 
 /**
  * Record an event if its category is enabled. This is the only call
- * hot paths make; when tracing is off it costs a thread-local sink
- * check, one global load, and a branch.
+ * hot paths make; when tracing is off it costs a thread-local session
+ * check and a branch.
  */
 inline void
 emit(EventType type, sim::Tick ts, std::uint64_t a0 = 0,
      std::uint64_t a1 = 0, std::uint64_t a2 = 0, sim::Duration dur = 0,
      std::uint16_t vm = 0)
 {
-    Tracer *sink = detail::t_sink;
-    const std::uint32_t mask = sink ? detail::t_mask : detail::g_mask;
-    if (mask == 0)
+    Tracer *sink = detail::activeTracer();
+    if (sink == nullptr || sink->mask() == 0)
         return;
-    if (!(mask & static_cast<std::uint32_t>(eventTypeInfo(type).category)))
+    if (!(sink->mask() &
+          static_cast<std::uint32_t>(eventTypeInfo(type).category)))
         return;
-    (sink ? *sink : tracer()).record(type, ts, a0, a1, a2, dur, vm);
+    sink->record(type, ts, a0, a1, a2, dur, vm);
 }
-
-/**
- * RAII install of a per-thread trace sink. While alive, every emit()
- * on the constructing thread records into `sink` instead of the
- * global tracer; destruction restores whatever was installed before
- * (sinks nest). A null sink is a no-op, so callers can write
- * `ScopedSink guard(tracingWanted ? &my_tracer : nullptr);`
- * unconditionally.
- */
-class ScopedSink
-{
-  public:
-    explicit ScopedSink(Tracer *sink);
-    ~ScopedSink();
-
-    ScopedSink(const ScopedSink &) = delete;
-    ScopedSink &operator=(const ScopedSink &) = delete;
-
-  private:
-    Tracer *prev_sink_ = nullptr;
-    std::uint32_t prev_mask_ = 0;
-    bool installed_ = false;
-};
 
 } // namespace hos::trace
 

@@ -85,33 +85,11 @@ eventKindName(EventKind k)
 
 Recorder::Recorder() = default;
 
-namespace detail {
-Recorder *g_active = nullptr;
-thread_local Recorder *t_active = nullptr;
-} // namespace detail
-
-Recorder &
-recorder()
-{
-    static Recorder r;
-    return r;
-}
-
 void
 Recorder::enable(XrayConfig cfg)
 {
     cfg_ = cfg;
     enabled_ = true;
-    if (this == &recorder())
-        detail::g_active = this;
-}
-
-void
-Recorder::disable()
-{
-    enabled_ = false;
-    if (detail::g_active == this)
-        detail::g_active = nullptr;
 }
 
 void

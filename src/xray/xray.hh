@@ -29,9 +29,9 @@
  *     report serializes bit-identically across runs.
  *  3. Bit-identical simulation: xray observes decisions, it never
  *     makes them. Golden-determinism tests compare xray-on/off runs.
- *  4. Isolation: a thread-local active recorder (ScopedRecorder)
- *     keeps parallel sweep points apart, exactly like
- *     trace::ScopedSink / prof::ScopedProfiler.
+ *  4. Isolation: hooks feed the recorder of the calling thread's
+ *     obs::Session (trace/session.hh), which keeps parallel sweep
+ *     points apart.
  *
  * Layering: xray sits between trace and guestos (like prof), so it
  * cannot name guestos or mem types. Tiers cross the boundary as
@@ -49,6 +49,7 @@
 
 #include "sim/stats.hh"
 #include "sim/time.hh"
+#include "trace/session.hh"
 
 #ifndef HOS_XRAY_LEVEL
 #define HOS_XRAY_LEVEL 1
@@ -181,17 +182,16 @@ constexpr std::size_t numLagBuckets = 40;
 
 /**
  * The shadow state plus telemetry for one run (or one HeteroSystem).
- * Single-threaded per instance; cross-thread isolation comes from
- * ScopedRecorder, exactly like trace::Tracer/ScopedSink.
+ * Single-threaded per instance; cross-thread isolation comes from the
+ * per-thread obs::Session.
  */
 class Recorder
 {
   public:
     Recorder();
 
-    /** Mark this recorder active (process-wide fallback). */
+    /** Arm the recorder with `cfg` (auditXray checks armed ones). */
     void enable(XrayConfig cfg = {});
-    void disable();
     bool enabled() const { return enabled_; }
 
     /** Drop all shadow state, counters and rings. */
@@ -281,7 +281,7 @@ class Recorder
     /** Heat mass of hot pages outside the fastest tier. */
     std::uint64_t misplacedHeatMass(std::uint16_t vm) const;
 
-    /** The "xray" stat group (quality gauges for the snapshotter). */
+    /** The "xray" stat group (quality gauges for the StatRegistry). */
     sim::StatGroup &stats() { return stats_; }
     /** Refresh the gauges from live state (registry refresh hook). */
     void syncStats();
@@ -384,22 +384,6 @@ class Recorder
     sim::StatGroup stats_{"xray"};
 };
 
-/** The process-wide default recorder (legacy single-run flows). */
-Recorder &recorder();
-
-namespace detail {
-/** Global fallback: set when the process-wide recorder is enabled. */
-extern Recorder *g_active;
-/** Thread-local override installed by ScopedRecorder. */
-extern thread_local Recorder *t_active;
-
-inline Recorder *
-activeRecorder()
-{
-    return t_active != nullptr ? t_active : g_active;
-}
-} // namespace detail
-
 /**
  * The recorder hooks should feed, or nullptr when xray is off. The
  * disabled fast path is one thread-local load and a branch; at
@@ -410,49 +394,12 @@ inline Recorder *
 active()
 {
 #if HOS_XRAY_LEVEL >= 1
-    return detail::activeRecorder();
+    const obs::Session *s = obs::current();
+    return s ? s->recorder : nullptr;
 #else
     return nullptr;
 #endif
 }
-
-/**
- * RAII install of a per-thread active recorder, mirroring
- * prof::ScopedProfiler. A null recorder is a no-op, so callers can
- * write `ScopedRecorder guard(xrayWanted ? &rec : nullptr);`.
- */
-class ScopedRecorder
-{
-  public:
-    explicit ScopedRecorder(Recorder *r)
-    {
-#if HOS_XRAY_LEVEL >= 1
-        if (r == nullptr)
-            return;
-        prev_ = detail::t_active;
-        detail::t_active = r;
-        installed_ = true;
-#else
-        (void)r;
-#endif
-    }
-    ~ScopedRecorder()
-    {
-#if HOS_XRAY_LEVEL >= 1
-        if (installed_)
-            detail::t_active = prev_;
-#endif
-    }
-
-    ScopedRecorder(const ScopedRecorder &) = delete;
-    ScopedRecorder &operator=(const ScopedRecorder &) = delete;
-
-  private:
-#if HOS_XRAY_LEVEL >= 1
-    Recorder *prev_ = nullptr;
-    bool installed_ = false;
-#endif
-};
 
 } // namespace hos::xray
 

@@ -12,12 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "guestos/kernel.hh"
 #include "mem/machine_memory.hh"
 #include "sim/rng.hh"
 #include "test_helpers.hh"
+#include "trace/session.hh"
 #include "trace/trace.hh"
 #include "vmm/hotness_pte.hh"
 #include "vmm/vmm.hh"
@@ -94,8 +93,7 @@ struct HeatWatch
 {
     xray::Recorder rec;
     trace::Tracer tracer;
-    std::optional<xray::ScopedRecorder> rec_guard;
-    std::optional<trace::ScopedSink> sink_guard;
+    obs::Scope scope{{.tracer = &tracer, .recorder = &rec}};
 
     HeatWatch()
     {
@@ -104,8 +102,6 @@ struct HeatWatch
         rec.enable(cfg);
         tracer.enable(static_cast<std::uint32_t>(trace::Category::Xray) |
                       static_cast<std::uint32_t>(trace::Category::Scan));
-        rec_guard.emplace(&rec);
-        sink_guard.emplace(&tracer);
     }
 
     /** The hot crossings recorded since the last clear, in order. */

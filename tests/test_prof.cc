@@ -23,6 +23,7 @@
 #include "prof/report.hh"
 #include "sim/json.hh"
 #include "trace/exporters.hh"
+#include "trace/session.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -210,10 +211,8 @@ TEST(ProfTrace, ChromeExportNestsBeginEndPairs)
 
     trace::Tracer tracer;
     tracer.enable(static_cast<std::uint32_t>(trace::Category::All));
-    trace::ScopedSink sink(&tracer);
-
     Profiler p;
-    prof::ScopedProfiler guard(&p);
+    const obs::Scope scope({.tracer = &tracer, .profiler = &p});
     sim::EventQueue q;
     {
         HOS_PROF_SPAN(epoch, SpanKind::MigrationEpoch, q, 2);

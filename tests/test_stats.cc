@@ -1,13 +1,15 @@
 /**
  * @file
  * Stats framework: counters, gauges, distributions, histograms,
- * stat groups, and the table printer.
+ * stat groups, the stat registry, GuestKernel::syncStats, and the
+ * table printer.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/stats.hh"
 #include "sim/table.hh"
+#include "test_helpers.hh"
 
 namespace {
 
@@ -153,6 +155,53 @@ TEST(StatGroup, ForEachScalarFlattens)
     EXPECT_EQ(seen.at("d.mean"), 2.0);
     EXPECT_EQ(seen.at("d.min"), 1.0);
     EXPECT_EQ(seen.at("d.max"), 3.0);
+}
+
+TEST(StatRegistry, FindAndRemove)
+{
+    StatGroup a("alpha"), b("beta");
+    StatRegistry reg;
+    reg.add(&a);
+    reg.add(&b);
+    EXPECT_EQ(reg.size(), 2u);
+    EXPECT_EQ(reg.find("alpha"), &a);
+    EXPECT_EQ(reg.find("gamma"), nullptr);
+    reg.remove("alpha");
+    EXPECT_EQ(reg.find("alpha"), nullptr);
+    EXPECT_EQ(reg.size(), 1u);
+}
+
+TEST(StatRegistry, RefreshHooksRunOnDump)
+{
+    StatGroup g("live");
+    std::uint64_t source = 0;
+    StatRegistry reg;
+    reg.add(&g, [&] { g.counter("sampled").set(source); });
+
+    source = 7;
+    const std::string dump = reg.dumpAll();
+    EXPECT_NE(dump.find("live.sampled 7"), std::string::npos);
+}
+
+TEST(StatsSnapshotter, GuestKernelSyncStatsPopulatesGroup)
+{
+    auto kernel = hos::test::standaloneGuest();
+    hos::guestos::AllocRequest req;
+    req.type = hos::guestos::PageType::Anon;
+    for (int i = 0; i < 100; ++i)
+        kernel->allocPage(req);
+
+    kernel->syncStats();
+    auto &stats = kernel->stats();
+    EXPECT_EQ(stats.findCounter("alloc.requests").value(), 100u);
+    EXPECT_EQ(stats
+                  .findCounter(std::string("alloc.") +
+                               hos::guestos::pageTypeName(
+                                   hos::guestos::PageType::Anon))
+                  .value(),
+              100u);
+    EXPECT_TRUE(stats.hasGauge("node.FastMem.free_pages"));
+    EXPECT_TRUE(stats.hasCounter("overhead_ns.migration"));
 }
 
 TEST(Table, RendersAlignedRows)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Scenario & Sweep API: JSON round-trips, cartesian expansion order,
- * the parallel runner's bit-identity guarantee, and per-system trace
- * sink isolation.
+ * the parallel runner's bit-identity guarantee, and per-system
+ * telemetry session isolation.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +12,14 @@
 #include <fstream>
 #include <sstream>
 
+#include "check/check_error.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
+#include "metrics/report.hh"
+#include "sim/json.hh"
 #include "sim/rng.hh"
 #include "test_helpers.hh"
+#include "trace/session.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -121,9 +125,31 @@ TEST(Scenario, BadParamsAreRejectedWithContext)
     EXPECT_NE(error.find("no_such_key"), std::string::npos);
     EXPECT_FALSE(core::applyScenarioParam(s, "approach", "bogus", &error));
     EXPECT_FALSE(core::applyScenarioParam(s, "scale", "fast", &error));
+    // Out-of-range numbers, each of which would crash the run later
+    // (bad_alloc, an empty machine, a full address space, a throttle
+    // assertion) or cast out of its field's range.
+    const std::pair<const char *, const char *> out_of_range[] = {
+        {"scale", "nan"},          {"scale", "inf"},
+        {"scale", "0"},            {"scale", "1.5"},
+        {"slow_lat_factor", "nan"}, {"slow_lat_factor", "inf"},
+        {"slow_lat_factor", "0.5"}, {"slow_bw_factor", "nan"},
+        {"cpus", "-1"},            {"cpus", "0"},
+        {"cpus", "2.5"},           {"cpus", "1e9"},
+        {"fast_bytes", "nan"},     {"fast_bytes", "inf"},
+        {"fast_bytes", "-1"},      {"slow_bytes", "1e300"},
+        {"llc_bytes", "0.5"},      {"seed", "nan"},
+    };
+    for (const auto &[key, value] : out_of_range) {
+        error.clear();
+        EXPECT_FALSE(core::applyScenarioParam(s, key, value, &error))
+            << key << "=" << value;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
     // The failed applications left the scenario untouched.
     EXPECT_DOUBLE_EQ(s.scale, 1.0);
     EXPECT_EQ(s.approach, core::Approach::HeteroLru);
+    EXPECT_EQ(core::scenarioToJson(s),
+              core::scenarioToJson(core::Scenario{}));
 }
 
 TEST(Sweep, ExpansionIsRowMajor)
@@ -255,13 +281,12 @@ TEST(SweepRunner, ProgressCallbackSeesEveryPoint)
 }
 
 /**
- * Satellite (c): two systems in one process must not interleave trace
- * events. Tracing is per-system opt-in; the global tracer stays cold.
+ * Two systems in one process must not interleave trace events.
+ * Tracing is per-system opt-in, and a tracer installed around the
+ * runs stays cold: each run installs its own session in its place.
  */
 TEST(TraceIsolation, PerSystemSinksDoNotInterleave)
 {
-    const auto global_before = trace::tracer().recorded();
-
     auto traced_spec = tinyBase().withApproach(core::Approach::HeteroLru);
     auto quiet_spec = traced_spec;
 
@@ -271,36 +296,115 @@ TEST(TraceIsolation, PerSystemSinksDoNotInterleave)
     EXPECT_TRUE(traced->tracingEnabled());
     EXPECT_FALSE(quiet->tracingEnabled());
 
-    traced->runOne(traced->slot(0),
-                   workload::makeApp(workload::AppId::GraphChi, 0.02));
-    quiet->runOne(quiet->slot(0),
-                  workload::makeApp(workload::AppId::GraphChi, 0.02));
+    trace::Tracer outer;
+    outer.enable(static_cast<std::uint32_t>(trace::Category::All));
+    {
+        const obs::Scope scope({.tracer = &outer});
+        traced->runOne(traced->slot(0),
+                       workload::makeApp(workload::AppId::GraphChi, 0.02));
+        quiet->runOne(quiet->slot(0),
+                      workload::makeApp(workload::AppId::GraphChi, 0.02));
+        EXPECT_EQ(obs::current()->tracer, &outer)
+            << "each run restored the enclosing session";
+    }
 
     EXPECT_GT(traced->traceSink().recorded(), 0u)
         << "the opted-in system captured its own events";
     EXPECT_EQ(quiet->traceSink().recorded(), 0u)
         << "the quiet system stayed quiet";
-    EXPECT_EQ(trace::tracer().recorded(), global_before)
-        << "per-system tracing never leaks into the process tracer";
+    EXPECT_EQ(outer.recorded(), 0u)
+        << "per-system tracing never leaks into the enclosing session";
 }
 
-TEST(TraceIsolation, ScopedSinkNestsAndRestores)
+TEST(TraceIsolation, ScopeNestsAndRestores)
 {
     const auto all = static_cast<std::uint32_t>(trace::Category::All);
     trace::Tracer outer, inner;
     outer.enable(all);
     inner.enable(all);
     {
-        trace::ScopedSink a(&outer);
+        const obs::Scope a({.tracer = &outer});
         trace::emit(trace::EventType::PageAlloc, 1);
         {
-            trace::ScopedSink b(&inner);
+            const obs::Scope b({.tracer = &inner});
             trace::emit(trace::EventType::PageAlloc, 2);
         }
         trace::emit(trace::EventType::PageAlloc, 3);
+        {
+            // An empty session installs nothing: the hooks go dark.
+            const obs::Scope off({});
+            EXPECT_EQ(obs::current(), nullptr);
+            trace::emit(trace::EventType::PageAlloc, 4);
+        }
     }
+    EXPECT_EQ(obs::current(), nullptr);
     EXPECT_EQ(outer.recorded(), 2u);
     EXPECT_EQ(inner.recorded(), 1u);
+}
+
+/**
+ * A run that fails an end-of-run check leaves no session behind on
+ * the thread, and two systems with different consumer sets, run back
+ * to back on one thread, each feed only their own consumers.
+ */
+TEST(TraceIsolation, RunsLeaveNoSessionAndFeedOnlyTheirOwn)
+{
+    const auto app = workload::makeApp(workload::AppId::GraphChi, 0.02);
+    const auto base = tinyBase().withApproach(core::Approach::Coordinated);
+    ASSERT_EQ(obs::current(), nullptr);
+    {
+        auto failing = core::systemFor(base);
+        failing->enableTracing();
+        failing->enableProfiling();
+        // A span left open fails auditProf when the run ends.
+        failing->profiler().beginSpan(prof::SpanKind::MigrationEpoch, 0,
+                                      0, prof::noTier);
+        check::ScopedThrowMode throw_mode;
+        EXPECT_THROW(failing->runOne(failing->slot(0), app),
+                     check::CheckError);
+    }
+    EXPECT_EQ(obs::current(), nullptr)
+        << "the failed run's session was uninstalled while unwinding";
+
+    // A: trace + metrics. B: prof + x-ray.
+    auto a = core::systemFor(base);
+    a->enableTracing();
+    a->enableMetrics();
+    auto b = core::systemFor(base);
+    b->enableProfiling();
+    b->enableXray();
+
+    const auto metricsJson = [](core::HeteroSystem &sys) {
+        std::ostringstream os;
+        sim::JsonWriter w(os);
+        metrics::writeMetricsReport(w, sys.metricsCollector().report());
+        return os.str();
+    };
+    a->runOne(a->slot(0), app);
+    const std::uint64_t a_events = a->traceSink().recorded();
+    const std::string a_metrics = metricsJson(*a);
+    b->runOne(b->slot(0), app);
+    EXPECT_EQ(obs::current(), nullptr);
+
+    EXPECT_GT(a_events, 0u);
+    EXPECT_EQ(a->traceSink().recorded(), a_events)
+        << "B's run fed A's tracer";
+    EXPECT_EQ(metricsJson(*a), a_metrics) << "B's run fed A's collector";
+    EXPECT_EQ(a->profiler().spansOpened(), 0u) << "A fed a profiler";
+    EXPECT_EQ(a->xrayRecorder().numVms(), 0u) << "A fed a recorder";
+
+    EXPECT_EQ(b->traceSink().recorded(), 0u) << "B fed a tracer";
+    EXPECT_TRUE(b->metricsCollector().report().empty())
+        << "B fed a collector";
+    if (prof::profilingCompiled) {
+        EXPECT_GT(b->profiler().spansOpened(), 0u);
+    }
+    if (xray::xrayCompiled) {
+        EXPECT_GT(b->xrayRecorder().numVms(), 0u);
+    }
+    if (metrics::metricsCompiled) {
+        EXPECT_FALSE(a->metricsCollector().report().empty());
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "test_helpers.hh"
 #include "trace/exporters.hh"
+#include "trace/session.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -71,25 +72,25 @@ TEST(TraceCategories, ParseNamesAndAll)
 
 TEST(TraceCategories, MaskFiltersEmit)
 {
-    trace::tracer().setCapacity(64);
-    trace::tracer().enable(
-        static_cast<std::uint32_t>(trace::Category::Migration));
+    Tracer t;
+    t.setCapacity(64);
+    t.enable(static_cast<std::uint32_t>(trace::Category::Migration));
+    const obs::Scope scope({.tracer = &t});
 
     trace::emit(EventType::PageAlloc, 10);       // alloc: filtered
     trace::emit(EventType::MigrationStart, 20);  // migration: kept
     trace::emit(EventType::SwapOut, 30);         // swap: filtered
     trace::emit(EventType::MigrationComplete, 40);
 
-    EXPECT_EQ(trace::tracer().size(), 2u);
-    trace::tracer().forEach([](const Record &r) {
+    EXPECT_EQ(t.size(), 2u);
+    t.forEach([](const Record &r) {
         EXPECT_EQ(trace::eventTypeInfo(r.type).category,
                   trace::Category::Migration);
     });
 
-    trace::tracer().disable();
+    t.disable();
     trace::emit(EventType::MigrationStart, 50); // disabled: dropped
-    EXPECT_EQ(trace::tracer().size(), 2u);
-    trace::tracer().clear();
+    EXPECT_EQ(t.size(), 2u);
 }
 
 TEST(TraceExport, ChromeJsonIsWellFormed)
@@ -164,9 +165,10 @@ TEST(TraceExport, TimestampsMonotonicallyNonDecreasing)
 TEST(TraceDeterminism, IdenticalRunsProduceIdenticalTraces)
 {
     auto run = [] {
-        trace::tracer().setCapacity(1u << 12);
-        trace::tracer().enable(
-            static_cast<std::uint32_t>(trace::Category::All));
+        Tracer t;
+        t.setCapacity(1u << 12);
+        t.enable(static_cast<std::uint32_t>(trace::Category::All));
+        const obs::Scope scope({.tracer = &t});
 
         auto kernel = hos::test::standaloneGuest(8 * mem::mib,
                                                  32 * mem::mib);
@@ -180,10 +182,9 @@ TEST(TraceDeterminism, IdenticalRunsProduceIdenticalTraces)
                 sim::milliseconds(60) * (burst + 1));
         }
 
-        trace::tracer().disable();
+        t.disable();
         std::ostringstream os;
-        trace::writeChromeJson(trace::tracer(), os);
-        trace::tracer().clear();
+        trace::writeChromeJson(t, os);
         return os.str();
     };
 

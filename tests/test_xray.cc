@@ -18,6 +18,7 @@
 
 #include "check/auditors.hh"
 #include "core/experiment.hh"
+#include "trace/session.hh"
 #include "xray/report.hh"
 #include "xray/xray.hh"
 
@@ -75,7 +76,7 @@ TEST(Xray, ShadowTierMatchesKernelBackingAfterMigration)
     cfg.full_provenance = true;
     rec.enable(cfg);
     seedShadow(rec, *kernel);
-    xray::ScopedRecorder guard(&rec);
+    const obs::Scope scope({.recorder = &rec});
 
     auto &as = kernel->createProcess("p");
     const std::uint64_t n = 64;
@@ -363,9 +364,8 @@ TEST(Xray, ReportMatchesPinnedFingerprint)
 
 TEST(Xray, InactiveRecorderSeesNothing)
 {
-    // Without a ScopedRecorder install (and with no process-global
-    // recorder enabled), the hooks must be dead: a full guest
-    // lifecycle leaves a fresh recorder empty.
+    // With no session installed on the thread the hooks must be
+    // dead: a full guest lifecycle leaves a fresh recorder empty.
     xray::Recorder rec;
     {
         auto kernel = test::standaloneGuest(8 * mem::mib, 32 * mem::mib);
