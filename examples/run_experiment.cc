@@ -105,6 +105,11 @@ usage()
         "  --metrics               windowed series + slowdown SLO "
         "(hos-timeline input)\n"
         "exit status 2: a rejected flag, --set value or argument");
+    std::printf("fast_bytes and slow_bytes (from fast_ratio and scale, "
+                "or --set) must lie\nin [%llu, %llu] (one page to "
+                "1 TiB)\n",
+                static_cast<unsigned long long>(mem::pageSize),
+                static_cast<unsigned long long>(core::maxTierBytes));
 }
 
 /** Every flag this tool understands ('=' marks value-taking forms). */
@@ -267,10 +272,15 @@ main(int argc, char **argv)
         !core::applyScenarioParam(spec, "approach", arg(2, "lru"), &err) ||
         !core::applyScenarioParam(spec, "scale", arg(4, "0.2"), &err))
         return rejectValue(err);
-    spec.slow_bytes = static_cast<std::uint64_t>(
-        spec.scale * 8.0 * static_cast<double>(mem::gib));
-    // fast_ratio sizes FastMem against SlowMem; the product is checked
-    // as fast_bytes, so an infinite or overflowing size is rejected.
+    // scale sizes SlowMem and fast_ratio sizes FastMem against it;
+    // both products are checked as --set sizes, so a tier under one
+    // page or over maxTierBytes is rejected.
+    char bytes[64];
+    std::snprintf(bytes, sizeof(bytes), "%.0f",
+                  std::floor(spec.scale * 8.0 *
+                             static_cast<double>(mem::gib)));
+    if (!core::applyScenarioParam(spec, "slow_bytes", bytes, &err))
+        return rejectValue("scale '" + arg(4, "0.2") + "': " + err);
     const std::string ratio_text = arg(3, "0.25");
     char *end = nullptr;
     const double ratio = std::strtod(ratio_text.c_str(), &end);
@@ -278,10 +288,9 @@ main(int argc, char **argv)
         return rejectValue("bad fast_ratio '" + ratio_text +
                            "': need a number > 0");
     }
-    char fast_bytes[64];
-    std::snprintf(fast_bytes, sizeof(fast_bytes), "%.0f",
+    std::snprintf(bytes, sizeof(bytes), "%.0f",
                   std::floor(static_cast<double>(spec.slow_bytes) * ratio));
-    if (!core::applyScenarioParam(spec, "fast_bytes", fast_bytes, &err))
+    if (!core::applyScenarioParam(spec, "fast_bytes", bytes, &err))
         return rejectValue("fast_ratio '" + ratio_text + "': " + err);
     if (opt.prof) {
         if (!prof::profilingCompiled)

@@ -605,12 +605,27 @@ applyScenarioParam(Scenario &s, const std::string &key,
         return factor(s.slow_lat_factor);
     if (key == "slow_bw_factor" || key == "slow_bw")
         return factor(s.slow_bw_factor);
+    // A tier needs at least one frame, and its frame arrays must fit.
+    const auto tierBytes = [&](std::uint64_t &field) {
+        if (!range(static_cast<double>(mem::pageSize),
+                   static_cast<double>(maxTierBytes), true,
+                   "need a whole byte count from one page (4096) to "
+                   "1 TiB"))
+            return false;
+        field = exactU64(value, num);
+        return true;
+    };
     if (key == "fast_bytes")
-        return count64(s.fast_bytes);
+        return tierBytes(s.fast_bytes);
     if (key == "slow_bytes")
-        return count64(s.slow_bytes);
-    if (key == "llc_bytes")
+        return tierBytes(s.slow_bytes);
+    if (key == "llc_bytes") {
+        if (!range(1, maxU64, true,
+                   "need a whole number of bytes > 0 (the LLC model "
+                   "needs a capacity)"))
+            return false;
         return count64(s.llc_bytes);
+    }
     if (key == "seed")
         return count64(s.seed);
     if (key == "scale") {

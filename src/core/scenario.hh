@@ -246,13 +246,21 @@ std::optional<Scenario> loadScenario(const std::string &path,
                                      std::string *error = nullptr);
 
 /**
+ * Largest fast_bytes or slow_bytes a scenario may ask for (1 TiB).
+ * The machine and guest frame arrays are sized straight from the
+ * tier capacities, so a larger tier could not be booted.
+ */
+constexpr std::uint64_t maxTierBytes = std::uint64_t(1) << 40;
+
+/**
  * Set one field by its JSON key from a scalar's text ("approach" =
  * "coord", "slow_lat_factor" = "5", "seed" = "42"...). The engine
  * behind sweep axes, scenario JSON and the --set flags. Returns false
  * (with `error`, leaving `s` unchanged) for unknown keys, unparseable
  * values and values out of range: scale in (0, 1], finite lat/bw
- * factors >= 1, whole cpus in [1, 1024], whole byte counts and seeds
- * in [0, 2^64).
+ * factors >= 1, whole cpus in [1, 1024], fast_bytes and slow_bytes
+ * from one page to maxTierBytes, llc_bytes > 0, whole byte counts and
+ * seeds in [0, 2^64).
  */
 bool applyScenarioParam(Scenario &s, const std::string &key,
                         const std::string &value,

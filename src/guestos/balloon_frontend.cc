@@ -28,36 +28,27 @@ BalloonFrontend::bootPopulate(unsigned node_id, std::uint64_t pages)
     hos_assert(backend_ != nullptr, "balloon back-end not attached");
     if (pages == 0)
         return 0;
-    auto gpfns = kernel_.takeUnpopulatedGpfns(node_id, pages);
-    const std::uint64_t granted =
-        backend_->populatePages(node_id, UnpopulatedView(gpfns));
-    hos_assert(granted <= gpfns.size(), "back-end over-granted");
+    // A node boots with its unpopulated stack still the gpfn range,
+    // so the view is one ascending run.
+    const UnpopulatedView view =
+        kernel_.peekUnpopulatedGpfns(node_id, pages);
+    const std::uint64_t granted = backend_->populatePages(node_id, view);
+    hos_assert(granted <= view.size(), "back-end over-granted");
 
+    // Donate the granted prefix to the buddy in ascending runs, split
+    // at zone boundaries.
     NumaNode &node = kernel_.node(node_id);
-    for (std::uint64_t i = 0; i < granted; ++i) {
-        kernel_.pageMeta(gpfns[i]).setPopulated(true);
-        // Boot pages arrive in ascending order; donate them in runs
-        // for fast coalescing.
-    }
-    // Donate the granted prefix to the buddy in contiguous runs
-    // (the boot path pops ascending gpfns), split at zone boundaries.
-    std::uint64_t i = 0;
-    while (i < granted) {
-        Zone &z = node.zoneOf(gpfns[i]);
+    for (std::uint64_t i = 0; i < granted;) {
+        const Gpfn first = view[i];
+        Zone &z = node.zoneOf(first);
         const Gpfn zone_end = z.base() + z.spanPages();
-        std::uint64_t j = i + 1;
-        while (j < granted && gpfns[j] == gpfns[j - 1] + 1 &&
-               gpfns[j] < zone_end) {
-            ++j;
-        }
-        z.buddy().addFreeRange(gpfns[i], j - i);
-        i = j;
+        const std::uint64_t run =
+            view.ascendingRun(i, std::min(granted - i, zone_end - first));
+        kernel_.pages().setPopulatedRange(first, run);
+        z.buddy().addFreeRange(first, run);
+        i += run;
     }
-    if (granted < gpfns.size()) {
-        kernel_.returnUnpopulatedGpfns(
-            node_id, std::vector<Gpfn>(gpfns.begin() + granted,
-                                       gpfns.end()));
-    }
+    kernel_.commitUnpopulatedGpfns(node_id, view.size(), granted);
     for (std::size_t zi = 0; zi < node.numZones(); ++zi)
         node.zone(zi).updateWatermarks();
     populated_[node_id] += granted;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+
+#include "check/check.hh"
 
 namespace hos::guestos {
 
@@ -58,26 +61,40 @@ BuddyAllocator::addFreeRange(Gpfn pfn, std::uint64_t count)
 {
     hos_assert(pfn >= base_ && pfn + count <= base_ + span_pages_,
                "range outside allocator span");
+    HOS_CHECK_FULL(checkFreedState(pfn, count));
     managed_pages_ += count;
     // Carve into maximal blocks that are both aligned (relative to
-    // base) and fit in the remaining count, then free them one by one
+    // base) and fit in the remaining count, and free them one by one
     // so coalescing with already-free neighbours happens naturally.
+    // The pages are already in the state free() would leave them in.
     while (count > 0) {
-        unsigned order = maxOrder - 1;
-        while (order > 0 &&
-               (((pfn - base_) & ((1ull << order) - 1)) != 0 ||
-                (1ull << order) > count)) {
-            --order;
-        }
-        // Mark allocated so free() passes its sanity checks.
-        for (std::uint64_t i = 0; i < (1ull << order); ++i) {
-            PageRef p = pages_.page(pfn + i);
-            pages_.setAllocated(p, true);
-            p.setInBuddy(false);
-        }
-        free(pfn, order);
-        pfn += 1ull << order;
-        count -= 1ull << order;
+        const std::uint64_t off = pfn - base_;
+        const unsigned size_order =
+            static_cast<unsigned>(std::bit_width(count)) - 1;
+        const unsigned align_order =
+            off == 0 ? maxOrder - 1
+                     : static_cast<unsigned>(std::countr_zero(off));
+        unsigned order = std::min({maxOrder - 1, size_order, align_order});
+        const std::uint64_t block = 1ull << order;
+        const Gpfn head = coalesce(pfn, order);
+        insertBlock(head, order);
+        pfn += block;
+        count -= block;
+    }
+}
+
+void
+BuddyAllocator::checkFreedState(Gpfn pfn, std::uint64_t count) const
+{
+    for (Gpfn g = pfn; g < pfn + count; ++g) {
+        const PageRef p = pages_.page(g);
+        hos_assert(!p.allocated() && !p.in_buddy() &&
+                       p.list_id() == noListId &&
+                       p.type() == PageType::Free && !p.dirty() &&
+                       !p.referenced() && !p.pte_accessed() &&
+                       p.heat() == 0 && p.owner_process() == noProcess,
+                   "donating page %llu, which is not in the freed state",
+                   static_cast<unsigned long long>(g));
     }
 }
 

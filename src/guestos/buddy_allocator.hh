@@ -45,7 +45,9 @@ class BuddyAllocator
 
     /**
      * Donate [pfn, pfn+count) to the allocator as free memory,
-     * coalescing into maximal aligned blocks.
+     * coalescing into maximal aligned blocks. The pages must be in
+     * the state free() leaves behind (never used, or surrendered from
+     * a free block); HOS_CHECK=full asserts it.
      */
     void addFreeRange(Gpfn pfn, std::uint64_t count);
 
@@ -100,6 +102,8 @@ class BuddyAllocator
     bool blockInRange(Gpfn pfn, unsigned order) const;
     void insertBlock(Gpfn pfn, unsigned order);
     void removeBlock(Gpfn pfn, unsigned order);
+    /** Assert [pfn, pfn+count) is in the freed state (full checks). */
+    void checkFreedState(Gpfn pfn, std::uint64_t count) const;
     /** Check and reset the pages of an allocated block being freed. */
     void resetFreedPages(Gpfn pfn, unsigned order);
     /**

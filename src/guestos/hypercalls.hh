@@ -12,6 +12,7 @@
 #ifndef HOS_GUESTOS_HYPERCALLS_HH
 #define HOS_GUESTOS_HYPERCALLS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,9 +24,11 @@ namespace hos::guestos {
  * Read-only view of gpfns offered to the back-end for population.
  *
  * The guest's unpopulated stack keeps its top window lazily reversed
- * (see GuestKernel::commitUnpopulatedGpfns); this view resolves that
- * indexing without materializing a vector per hypercall. Index 0 is
- * the first gpfn to populate; grants must be strict prefixes.
+ * and, until it first has to spill, its never-populated gpfns as one
+ * ascending range (see GuestKernel::commitUnpopulatedGpfns); this
+ * view resolves both without materializing a vector per hypercall.
+ * Index 0 is the first gpfn to populate; grants must be strict
+ * prefixes.
  */
 class UnpopulatedView
 {
@@ -38,25 +41,49 @@ class UnpopulatedView
     {
     }
 
-    /** Wrap a plain vector: view[i] == gpfns[i]. */
-    explicit UnpopulatedView(const std::vector<Gpfn> &gpfns)
-        : stack_(gpfns.data()), stack_size_(gpfns.size()),
-          reversed_(gpfns.size()), n_(gpfns.size())
+    /** The ascending run first, first + 1, ..., first + n - 1. */
+    static UnpopulatedView
+    range(Gpfn first, std::uint64_t n)
     {
+        UnpopulatedView v;
+        v.first_ = first;
+        v.n_ = n;
+        return v;
     }
 
     std::uint64_t size() const { return n_; }
     bool empty() const { return n_ == 0; }
     Gpfn operator[](std::uint64_t i) const
     {
+        if (stack_ == nullptr)
+            return first_ + i;
         return i < reversed_ ? stack_[stack_size_ - reversed_ + i]
                              : stack_[stack_size_ - 1 - i];
     }
 
+    /**
+     * How many entries from i on, at most `max`, continue view[i] in
+     * ascending order: view[i + j] == view[i] + j. At least 1 for
+     * i < size() and max > 0.
+     */
+    std::uint64_t
+    ascendingRun(std::uint64_t i, std::uint64_t max) const
+    {
+        max = std::min(max, n_ - i);
+        if (stack_ == nullptr)
+            return max;
+        const Gpfn first = (*this)[i];
+        std::uint64_t len = 1;
+        while (len < max && (*this)[i + len] == first + len)
+            ++len;
+        return len;
+    }
+
   private:
-    const Gpfn *stack_ = nullptr;
+    const Gpfn *stack_ = nullptr;  ///< nullptr: the range form
     std::uint64_t stack_size_ = 0; ///< entries in the backing stack
     std::uint64_t reversed_ = 0;   ///< top entries stored reversed
+    Gpfn first_ = 0;               ///< the range form's first gpfn
     std::uint64_t n_ = 0;          ///< entries this view exposes
 };
 

@@ -49,44 +49,42 @@ overheadKindName(OverheadKind k)
 
 namespace {
 
-std::uint64_t
-totalMaxPages(const GuestConfig &cfg)
+/** The guest's nodes back to back in the gpfn space. */
+std::vector<PageArray::NodeSpan>
+nodeSpans(const GuestConfig &cfg)
 {
-    std::uint64_t n = 0;
-    for (const auto &nc : cfg.nodes)
-        n += mem::bytesToPages(nc.max_bytes);
-    return n;
+    std::vector<PageArray::NodeSpan> spans;
+    for (std::size_t id = 0; id < cfg.nodes.size(); ++id) {
+        spans.push_back({mem::bytesToPages(cfg.nodes[id].max_bytes),
+                         static_cast<std::uint8_t>(id),
+                         cfg.nodes[id].type});
+    }
+    return spans;
 }
 
 } // namespace
 
 GuestKernel::GuestKernel(GuestConfig cfg)
     : cfg_(std::move(cfg)), stats_(cfg_.name), rng_(cfg_.seed),
-      tlb_(cfg_.tlb), disk_(cfg_.disk), pages_(totalMaxPages(cfg_))
+      tlb_(cfg_.tlb), disk_(cfg_.disk), pages_(nodeSpans(cfg_))
 {
     hos_assert(!cfg_.nodes.empty(), "guest needs at least one node");
 
     prof::registerCostKindNames(kOverheadNamesForProf,
                                 numOverheadKinds);
 
-    // Lay out nodes back to back in the gpfn space and stamp each
-    // page with its node identity.
+    // Nodes lie back to back in the gpfn space, as pages_ laid out
+    // their identities.
     Gpfn base = 0;
     for (unsigned id = 0; id < cfg_.nodes.size(); ++id) {
         const auto &nc = cfg_.nodes[id];
         const std::uint64_t span = mem::bytesToPages(nc.max_bytes);
         nodes_.push_back(std::make_unique<NumaNode>(id, nc.type, pages_,
                                                     base, span));
-        for (Gpfn pfn = base; pfn < base + span; ++pfn) {
-            PageRef p = pages_.page(pfn);
-            p.setNumaNode(static_cast<std::uint8_t>(id));
-            p.setMemType(nc.type);
-        }
-        // Every gpfn starts unpopulated; LIFO so low gpfns pop first.
+        // Every gpfn starts unpopulated, low gpfns on top.
         auto &unpop = unpopulated_.emplace_back();
-        unpop.v.reserve(span);
-        for (Gpfn pfn = base + span; pfn-- > base;)
-            unpop.v.push_back(pfn);
+        unpop.lo = base;
+        unpop.hi = base + span;
         base += span;
     }
 
@@ -186,16 +184,11 @@ GuestKernel::allocPageOnNode(unsigned node_id, PageType type,
 std::vector<Gpfn>
 GuestKernel::takeUnpopulatedGpfns(unsigned node_id, std::uint64_t n)
 {
-    hos_assert(node_id < unpopulated_.size(), "bad node id");
-    auto &stack = unpopulated_[node_id];
-    stack.materialize();
-    std::vector<Gpfn> out;
-    const std::uint64_t take = std::min<std::uint64_t>(n, stack.size());
-    out.reserve(take);
-    for (std::uint64_t i = 0; i < take; ++i) {
-        out.push_back(stack.v.back());
-        stack.v.pop_back();
-    }
+    const UnpopulatedView view = peekUnpopulatedGpfns(node_id, n);
+    std::vector<Gpfn> out(view.size());
+    for (std::uint64_t i = 0; i < view.size(); ++i)
+        out[i] = view[i];
+    commitUnpopulatedGpfns(node_id, view.size(), view.size());
     return out;
 }
 
@@ -205,6 +198,7 @@ GuestKernel::returnUnpopulatedGpfns(unsigned node_id,
 {
     hos_assert(node_id < unpopulated_.size(), "bad node id");
     auto &stack = unpopulated_[node_id];
+    stack.spill();
     stack.materialize();
     for (Gpfn pfn : gpfns) {
         hos_assert(!pages_.page(pfn).populated(),
@@ -219,8 +213,10 @@ GuestKernel::peekUnpopulatedGpfns(unsigned node_id,
 {
     hos_assert(node_id < unpopulated_.size(), "bad node id");
     const auto &stack = unpopulated_[node_id];
-    return {stack.v.data(), stack.size(), stack.rev,
-            std::min<std::uint64_t>(n, stack.size())};
+    const std::uint64_t k = std::min<std::uint64_t>(n, stack.size());
+    if (stack.lo < stack.hi)
+        return UnpopulatedView::range(stack.lo, k);
+    return {stack.v.data(), stack.v.size(), stack.rev, k};
 }
 
 void
@@ -232,7 +228,17 @@ GuestKernel::commitUnpopulatedGpfns(unsigned node_id,
     auto &stack = unpopulated_[node_id];
     hos_assert(peeked <= stack.size() && granted <= peeked,
                "balloon commit out of range");
-    if (stack.rev == peeked) {
+    if (stack.lo < stack.hi) {
+        // The peek was a prefix of the range. The granted gpfns leave
+        // it; an ungranted tail goes back on top reversed, which is
+        // the spilled range with its top peeked - granted entries
+        // marked reversed.
+        stack.lo += granted;
+        if (granted < peeked) {
+            stack.spill();
+            stack.rev = peeked - granted;
+        }
+    } else if (stack.rev == peeked) {
         // The peeked window is exactly the reversed one: its granted
         // prefix sits at the window's physical start, and dropping it
         // leaves the remainder already in post-return order.
@@ -243,12 +249,14 @@ GuestKernel::commitUnpopulatedGpfns(unsigned node_id,
                           static_cast<std::ptrdiff_t>(granted));
         stack.rev = 0;
         return;
+    } else {
+        stack.materialize();
+        // Physical top-of-stack order: the granted prefix of the peek
+        // is the physical tail; the ungranted remainder comes back
+        // reversed.
+        stack.v.resize(stack.size() - granted);
+        stack.rev = peeked - granted;
     }
-    stack.materialize();
-    // Physical top-of-stack order: the granted prefix of the peek is
-    // the physical tail; the ungranted remainder comes back reversed.
-    stack.v.resize(stack.size() - granted);
-    stack.rev = peeked - granted;
     if (stack.rev <= 1)
         stack.rev = 0; // a 1-entry reversal is the identity
 }

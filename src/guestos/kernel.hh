@@ -210,10 +210,10 @@ class GuestKernel final : public MmBacking,
     /**
      * Settle a populate attempt made over a peeked view of `peeked`
      * entries whose first `granted` were taken (now populated).
-     * Equivalent to takeUnpopulatedGpfns(peeked) followed by
-     * returning the ungranted tail — including the tail's order
-     * reversal — but O(1) in the common cases (nothing granted, or
-     * a grant against an unreversed top).
+     * Equivalent to taking `peeked` gpfns and returning the
+     * ungranted tail — including the tail's order reversal — but
+     * O(1) in the common cases (nothing granted, a grant against an
+     * unreversed top, or a full grant off the boot range).
      */
     void commitUnpopulatedGpfns(unsigned node_id, std::uint64_t peeked,
                                 std::uint64_t granted);
@@ -313,18 +313,28 @@ class GuestKernel final : public MmBacking,
      * top k-g". Keeping that reversal as a lazy window makes the
      * dominant futile round trip (g == 0, the DRF pressure storm)
      * cancel in O(1) instead of copying k gpfns twice.
+     *
+     * A node boots with every gpfn unpopulated, low gpfns on top.
+     * That stack is kept implicit as the range [lo, hi) until
+     * something has to go on top of it (a return, or the tail of a
+     * partial grant); spill() then writes it out. v is empty while
+     * the range is not.
      */
     struct UnpopulatedStack
     {
         std::vector<Gpfn> v;
         std::uint64_t rev = 0; ///< top `rev` entries stored reversed
+        Gpfn lo = 0;           ///< implicit range [lo, hi), lo on top
+        Gpfn hi = 0;
 
-        std::uint64_t size() const { return v.size(); }
-        /** i-th entry from the logical top (i < size()). */
-        Gpfn fromTop(std::uint64_t i) const
+        std::uint64_t size() const { return v.size() + (hi - lo); }
+        /** Write the implicit range out onto v, lo on top. */
+        void spill()
         {
-            return i < rev ? v[v.size() - rev + i]
-                           : v[v.size() - 1 - i];
+            v.reserve(v.size() + (hi - lo));
+            for (Gpfn pfn = hi; pfn-- > lo;)
+                v.push_back(pfn);
+            lo = hi;
         }
         /** Rewrite the reversed window in physical order. */
         void materialize()

@@ -151,7 +151,26 @@ class PageArray
     static constexpr std::uint64_t chunkPages = std::uint64_t(1)
                                                 << chunkShift;
 
-    explicit PageArray(std::uint64_t num_pages);
+    /** Consecutive pages of one guest NUMA node. */
+    struct NodeSpan
+    {
+        std::uint64_t pages = 0;
+        std::uint8_t numa_node = 0;
+        mem::MemType mem_type = mem::MemType::SlowMem;
+    };
+
+    /** Pages of node 0, SlowMem. */
+    explicit PageArray(std::uint64_t num_pages)
+        : PageArray(std::vector<NodeSpan>{{num_pages, 0,
+                                           mem::MemType::SlowMem}})
+    {
+    }
+
+    /**
+     * The spans back to back from gpfn 0, each page born with its
+     * span's node identity.
+     */
+    explicit PageArray(const std::vector<NodeSpan> &spans);
 
     std::uint64_t size() const { return size_; }
 
@@ -165,6 +184,9 @@ class PageArray
         setBit(allocated_, pfn, v);
     }
     inline void setAllocated(const PageRef &p, bool v);
+
+    /** Mark [first, first + n) populated, a bitmap word at a time. */
+    void setPopulatedRange(Gpfn first, std::uint64_t n);
 
     // --- Word operations: gpfns [64w, 64w + 64) ----------------------
     //
@@ -300,7 +322,6 @@ class PageRef
 
     // Identity (fixed at boot).
     std::uint8_t numa_node() const { return meta().numa_node; }
-    void setNumaNode(std::uint8_t n) { meta().numa_node = n; }
     mem::MemType mem_type() const { return meta().mem_type; }
     void setMemType(mem::MemType t) { meta().mem_type = t; }
 

@@ -1,7 +1,5 @@
 #include "mem/machine_memory.hh"
 
-#include <algorithm>
-
 #include "sim/log.hh"
 
 namespace hos::mem {
@@ -12,11 +10,6 @@ MachineNode::MachineNode(unsigned node_id, MemType type, MemTierSpec spec,
       mfn_base_(mfn_base), total_frames_(spec.capacityPages())
 {
     hos_assert(total_frames_ > 0, "node must have at least one frame");
-    free_.reserve(total_frames_);
-    // Hand frames out in ascending order: push in reverse so the stack
-    // pops low MFNs first (deterministic, friendlier to inspection).
-    for (std::uint64_t i = total_frames_; i-- > 0;)
-        free_.push_back(mfn_base_ + i);
     owner_.assign(total_frames_, ownerNone);
 }
 
@@ -34,33 +27,16 @@ MachineNode::indexOf(Mfn mfn) const
     return static_cast<std::size_t>(mfn - mfn_base_);
 }
 
-std::optional<Mfn>
-MachineNode::allocFrame(OwnerId owner)
+void
+MachineNode::claim(OwnerId owner, Mfn first, std::uint64_t n)
 {
     hos_assert(owner != ownerNone, "frames need a real owner");
-    if (free_.empty())
-        return std::nullopt;
-    const Mfn mfn = free_.back();
-    free_.pop_back();
-    owner_[indexOf(mfn)] = owner;
+    std::fill_n(owner_.begin() +
+                    static_cast<std::ptrdiff_t>(first - mfn_base_),
+                n, owner);
     if (owner >= owned_count_.size())
         owned_count_.resize(owner + 1, 0);
-    ++owned_count_[owner];
-    return mfn;
-}
-
-std::vector<Mfn>
-MachineNode::allocFrames(OwnerId owner, std::uint64_t n)
-{
-    std::vector<Mfn> out;
-    out.reserve(std::min<std::uint64_t>(n, free_.size()));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        auto mfn = allocFrame(owner);
-        if (!mfn)
-            break;
-        out.push_back(*mfn);
-    }
-    return out;
+    owned_count_[owner] += n;
 }
 
 void

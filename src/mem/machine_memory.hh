@@ -11,6 +11,7 @@
 #ifndef HOS_MEM_MACHINE_MEMORY_HH
 #define HOS_MEM_MACHINE_MEMORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -53,17 +54,31 @@ class MachineNode
     const MemDevice &device() const { return device_; }
 
     std::uint64_t totalFrames() const { return total_frames_; }
-    std::uint64_t freeFrames() const { return free_.size(); }
-    std::uint64_t usedFrames() const { return total_frames_ - free_.size(); }
+    std::uint64_t freeFrames() const
+    {
+        return free_.size() + (total_frames_ - fresh_);
+    }
+    std::uint64_t usedFrames() const { return total_frames_ - freeFrames(); }
 
     Mfn mfnBase() const { return mfn_base_; }
     bool containsMfn(Mfn mfn) const;
 
     /** Allocate one frame for `owner`; nullopt when exhausted. */
-    std::optional<Mfn> allocFrame(OwnerId owner);
+    std::optional<Mfn> allocFrame(OwnerId owner)
+    {
+        std::optional<Mfn> out;
+        allocFrames(owner, 1, [&out](Mfn mfn, std::uint64_t) { out = mfn; });
+        return out;
+    }
 
-    /** Allocate up to `n` frames; returns what was available. */
-    std::vector<Mfn> allocFrames(OwnerId owner, std::uint64_t n);
+    /**
+     * Allocate up to `n` frames for `owner`, in the order n calls of
+     * allocFrame() would return them, and hand them to
+     * `run(first, count)` as runs of consecutive MFNs. Returns the
+     * frames allocated (fewer than `n` when the node runs dry).
+     */
+    template <class RunFn>
+    std::uint64_t allocFrames(OwnerId owner, std::uint64_t n, RunFn &&run);
 
     /** Return a frame. Panics on double-free or foreign MFN. */
     void freeFrame(Mfn mfn);
@@ -76,6 +91,8 @@ class MachineNode
 
   private:
     std::size_t indexOf(Mfn mfn) const;
+    /** Give frames [first, first + n) to `owner`. */
+    void claim(OwnerId owner, Mfn first, std::uint64_t n);
 
     unsigned node_id_;
     MemType type_;
@@ -83,10 +100,43 @@ class MachineNode
     MemDevice device_;
     Mfn mfn_base_;
     std::uint64_t total_frames_;
+    /**
+     * The free frames form one LIFO stack: the freed frames in free_
+     * (top at the back) above the frames never handed out,
+     * [fresh_, total_frames_) by index, which pop in ascending order.
+     * A fresh node is all cursor and no stack.
+     */
     std::vector<Mfn> free_;
+    std::uint64_t fresh_ = 0;
     std::vector<OwnerId> owner_;
     std::vector<std::uint64_t> owned_count_;
 };
+
+template <class RunFn>
+std::uint64_t
+MachineNode::allocFrames(OwnerId owner, std::uint64_t n, RunFn &&run)
+{
+    n = std::min(n, freeFrames());
+    std::uint64_t left = n;
+    while (left > 0 && !free_.empty()) {
+        const Mfn first = free_.back();
+        std::uint64_t len = 0;
+        do {
+            free_.pop_back();
+            ++len;
+        } while (len < left && !free_.empty() && free_.back() == first + len);
+        claim(owner, first, len);
+        run(first, len);
+        left -= len;
+    }
+    if (left > 0) {
+        const Mfn first = mfn_base_ + fresh_;
+        fresh_ += left;
+        claim(owner, first, left);
+        run(first, left);
+    }
+    return n;
+}
 
 /** The host's collection of memory nodes (one per tier instance). */
 class MachineMemory

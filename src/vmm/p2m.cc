@@ -10,21 +10,25 @@ P2m::P2m(std::uint64_t num_gpfns)
 }
 
 void
-P2m::set(Gpfn gpfn, mem::Mfn mfn, mem::MemType tier)
+P2m::setRun(Gpfn first, mem::Mfn mfn, std::uint64_t n, mem::MemType tier)
 {
-    hos_assert(gpfn < map_.size(), "gpfn out of P2M range");
+    hos_assert(first <= map_.size() && n <= map_.size() - first,
+               "gpfn run out of P2M range");
     hos_assert(mfn != mem::invalidMfn, "mapping invalid MFN");
     hos_assert(static_cast<std::size_t>(tier) < tier_count_.size(),
                "bad memory tier %u", static_cast<unsigned>(tier));
-    if (map_[gpfn] == mem::invalidMfn) {
-        ++populated_count_;
-    } else {
-        // Retarget (migration): drop the old tier count.
-        --tier_count_[tier_[gpfn]];
+    std::uint64_t fresh = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const Gpfn gpfn = first + i;
+        if (map_[gpfn] == mem::invalidMfn)
+            ++fresh;
+        else // retarget (migration): drop the old tier count
+            --tier_count_[tier_[gpfn]];
+        map_[gpfn] = mfn + i;
+        tier_[gpfn] = static_cast<std::uint8_t>(tier);
     }
-    map_[gpfn] = mfn;
-    tier_[gpfn] = static_cast<std::uint8_t>(tier);
-    ++tier_count_[static_cast<std::size_t>(tier)];
+    populated_count_ += fresh;
+    tier_count_[static_cast<std::size_t>(tier)] += n;
 }
 
 void

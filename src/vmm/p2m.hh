@@ -32,7 +32,17 @@ class P2m
     explicit P2m(std::uint64_t num_gpfns);
 
     /** Install a mapping (page populate or migration retarget). */
-    void set(Gpfn gpfn, mem::Mfn mfn, mem::MemType tier);
+    void set(Gpfn gpfn, mem::Mfn mfn, mem::MemType tier)
+    {
+        setRun(gpfn, mfn, 1, tier);
+    }
+
+    /**
+     * set(first + i, mfn + i, tier) for i in [0, n), with the
+     * populated and per-tier counts bumped once for the run.
+     */
+    void setRun(Gpfn first, mem::Mfn mfn, std::uint64_t n,
+                mem::MemType tier);
 
     /** Remove a mapping (balloon unpopulate). */
     void clear(Gpfn gpfn);

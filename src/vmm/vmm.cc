@@ -180,21 +180,29 @@ Vmm::populatePages(VmContext &vm, unsigned guest_node,
             break;
 
         mem::MachineNode &node = machine_.nodeByType(tier);
-        auto frames = node.allocFrames(vm.owner(), approved);
-        if (frames.empty())
-            break;
-        for (mem::Mfn mfn : frames) {
-            // Populate, not a retarget: the guest rings xray via
-            // onAlloc when it hands the frame out, and the recorder
-            // skips frames it is not tracking.
-            // hos-analyze: tier-xray (populate; guest onAlloc rings)
-            vm.p2m_.set(gpfns[idx], mfn, tier);
-            if (tier == mem::MemType::FastMem)
-                vm.fast_backed_.insert(gpfns[idx]);
-            ++idx;
-            ++granted_total;
-        }
-        if (frames.size() < approved)
+        const std::uint64_t got = node.allocFrames(
+            vm.owner(), approved, [&](mem::Mfn mfn, std::uint64_t n) {
+                // Map each run of frames onto the ascending gpfn runs
+                // of the view it covers.
+                while (n > 0) {
+                    const std::uint64_t run = gpfns.ascendingRun(idx, n);
+                    const Gpfn first = gpfns[idx];
+                    // Populate, not a retarget: the guest rings xray
+                    // via onAlloc when it hands the frame out, and the
+                    // recorder skips frames it is not tracking.
+                    // hos-analyze: tier-xray (populate; guest onAlloc rings)
+                    vm.p2m_.setRun(first, mfn, run, tier);
+                    if (tier == mem::MemType::FastMem) {
+                        for (std::uint64_t i = 0; i < run; ++i)
+                            vm.fast_backed_.insert(first + i);
+                    }
+                    idx += run;
+                    mfn += run;
+                    n -= run;
+                }
+            });
+        granted_total += got;
+        if (got < approved)
             break; // tier genuinely drained mid-request
     }
     trace::emit(trace::EventType::HypercallPopulate,
@@ -222,12 +230,6 @@ Vmm::unpopulatePages(VmContext &vm, unsigned guest_node,
     trace::emit(trace::EventType::HypercallUnpopulate,
                 vm.kernel_.events().now(), guest_node, gpfns.size(), 0,
                 0, static_cast<std::uint16_t>(vm.id()));
-}
-
-std::vector<mem::Mfn>
-Vmm::allocFrames(VmContext &vm, mem::MemType t, std::uint64_t n)
-{
-    return machine_.nodeByType(t).allocFrames(vm.owner(), n);
 }
 
 std::uint64_t

@@ -159,14 +159,6 @@ class Vmm
     void unpopulatePages(VmContext &vm, unsigned guest_node,
                          const std::vector<Gpfn> &gpfns);
 
-    /**
-     * Allocate frames of a tier directly (bypassing fairness); used
-     * by the migration engine for destination frames. Returns what
-     * was available.
-     */
-    std::vector<mem::Mfn> allocFrames(VmContext &vm, mem::MemType t,
-                                      std::uint64_t n);
-
     std::uint64_t totalFrames(mem::MemType t) const;
     std::uint64_t freeFrames(mem::MemType t) const;
     std::uint64_t usedFrames(mem::MemType t) const;

@@ -262,6 +262,50 @@ TEST_P(BuddyBatch, BatchesMatchSinglePageCalls)
     a.checkInvariants();
 }
 
+/**
+ * addFreeRange's closed-form carve against the donation it replaced:
+ * search each maximal aligned block, mark its pages allocated and
+ * free() it. Ranges of random length arrive in random order between
+ * allocations, so donated blocks coalesce with free neighbours.
+ */
+TEST_P(BuddyBatch, AddFreeRangeMatchesBlockFrees)
+{
+    constexpr std::uint64_t span = (1 << 12) + 37;
+    PageArray pa(span), pb(span);
+    BuddyAllocator a(pa, 0, span), b(pb, 0, span);
+    hos::sim::Rng rng(GetParam());
+    std::vector<std::pair<Gpfn, std::uint64_t>> ranges;
+    for (Gpfn pfn = 0; pfn < span;) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(1 + rng.uniformInt(300), span - pfn);
+        ranges.emplace_back(pfn, n);
+        pfn += n;
+    }
+    for (std::size_t i = ranges.size(); i > 1; --i)
+        std::swap(ranges[i - 1], ranges[rng.uniformInt(i)]);
+    for (const auto &[first, count] : ranges) {
+        a.addFreeRange(first, count);
+        for (Gpfn pfn = first, left = count; left > 0;) {
+            unsigned order = BuddyAllocator::maxOrder - 1;
+            while (order > 0 && ((pfn & ((1ull << order) - 1)) != 0 ||
+                                 (1ull << order) > left)) {
+                --order;
+            }
+            for (std::uint64_t i = 0; i < (1ull << order); ++i)
+                pb.setAllocated(pfn + i, true);
+            b.free(pfn, order);
+            pfn += 1ull << order;
+            left -= 1ull << order;
+        }
+        if (rng.uniformInt(3) == 0) {
+            const auto order = static_cast<unsigned>(rng.uniformInt(4));
+            ASSERT_EQ(a.alloc(order), b.alloc(order));
+        }
+        expectSameState(pa, a, pb, b);
+    }
+    a.checkInvariants();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyBatch,
                          ::testing::Values(3, 11, 2024));
 

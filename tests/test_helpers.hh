@@ -11,6 +11,7 @@
 #include <string>
 
 #include "guestos/kernel.hh"
+#include "guestos/page_table.hh"
 
 namespace hos::test {
 
@@ -85,6 +86,73 @@ struct Fnv
         }
     }
 };
+
+/**
+ * Hash of a guest kernel's allocator state: every list the allocator
+ * keeps (buddy free lists, per-CPU caches, LRUs) in list order, the
+ * page columns, the page tables and the next placement RNG draw.
+ */
+inline std::uint64_t
+kernelFingerprint(guestos::GuestKernel &k)
+{
+    Fnv f;
+    guestos::PageArray &pages = k.pages();
+    for (unsigned nid = 0; nid < k.numNodes(); ++nid) {
+        guestos::NumaNode &node = k.node(nid);
+        for (std::size_t zi = 0; zi < node.numZones(); ++zi) {
+            guestos::Zone &z = node.zone(zi);
+            f.add(z.freePages());
+            f.add(z.managedPages());
+            for (unsigned o = 0; o < guestos::BuddyAllocator::maxOrder; ++o)
+                f.addList(z.buddy().freeList(o), pages);
+            f.addList(z.lru().activeList(), pages);
+            f.addList(z.lru().inactiveList(), pages);
+        }
+        for (unsigned cpu = 0; cpu < k.percpu().cpus(); ++cpu)
+            f.addList(k.percpu().cacheList(cpu, nid), pages);
+    }
+    f.add(k.pageTablePages());
+    for (guestos::Gpfn pfn = 0; pfn < pages.size(); ++pfn) {
+        const guestos::PageRef p = pages.page(pfn);
+        f.add(static_cast<std::uint64_t>(p.allocated()) |
+              static_cast<std::uint64_t>(p.populated()) << 1 |
+              static_cast<std::uint64_t>(p.pte_accessed()) << 2 |
+              static_cast<std::uint64_t>(p.in_buddy()) << 3 |
+              static_cast<std::uint64_t>(p.referenced()) << 4 |
+              static_cast<std::uint64_t>(p.dirty()) << 5 |
+              static_cast<std::uint64_t>(p.under_io()) << 6 |
+              static_cast<std::uint64_t>(p.unevictable()) << 7 |
+              static_cast<std::uint64_t>(p.buddy_order()) << 8 |
+              static_cast<std::uint64_t>(p.type()) << 16 |
+              static_cast<std::uint64_t>(p.lru()) << 24 |
+              static_cast<std::uint64_t>(p.list_id()) << 32);
+        f.add(p.heat());
+        f.add(p.last_touch());
+        f.add(p.owner_process());
+        f.add(p.vaddr());
+        f.add(p.link_prev());
+        f.add(p.link_next());
+    }
+    for (guestos::ProcessId pid = 0; k.hasProcess(pid); ++pid) {
+        guestos::PageTable &pt = k.process(pid).pageTable();
+        f.add(pt.mappedPages());
+        f.add(pt.tableNodes());
+        pt.scanRange(
+            0, guestos::PageTable::vaSpan,
+            [&](std::uint64_t va, const guestos::PteView &v) {
+                f.add(va);
+                f.add(v.pfn);
+                f.add(static_cast<std::uint64_t>(v.accessed) |
+                      static_cast<std::uint64_t>(v.dirty) << 1);
+            },
+            /*clear_accessed=*/false);
+    }
+    sim::Rng placement = k.allocator().rng();
+    f.add(placement.next());
+    f.add(k.allocator().totalRequests());
+    f.add(k.allocator().totalFastMisses());
+    return f.h;
+}
 
 /**
  * A guest kernel with its nodes fully populated directly (no VMM) —

@@ -6,11 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/machine_memory.hh"
 
 namespace {
 
 using namespace hos::mem;
+
+/** allocFrames() with its runs collected into one list of MFNs. */
+std::vector<Mfn>
+allocList(MachineNode &node, OwnerId owner, std::uint64_t n)
+{
+    std::vector<Mfn> out;
+    node.allocFrames(owner, n, [&out](Mfn first, std::uint64_t count) {
+        for (std::uint64_t i = 0; i < count; ++i)
+            out.push_back(first + i);
+    });
+    return out;
+}
 
 TEST(MachineNode, AllocatesAscendingUniqueFrames)
 {
@@ -32,7 +46,7 @@ TEST(MachineNode, ExhaustionReturnsNullopt)
     MachineMemory mm;
     mm.addNode(MemType::FastMem, dramSpec(mib));
     auto &node = mm.node(0);
-    auto frames = node.allocFrames(firstVmOwner, 1000);
+    auto frames = allocList(node, firstVmOwner, 1000);
     EXPECT_EQ(frames.size(), 256u);
     EXPECT_FALSE(node.allocFrame(firstVmOwner).has_value());
     EXPECT_EQ(node.freeFrames(), 0u);
@@ -43,7 +57,7 @@ TEST(MachineNode, FreeReturnsFramesForReuse)
     MachineMemory mm;
     mm.addNode(MemType::FastMem, dramSpec(mib));
     auto &node = mm.node(0);
-    auto frames = node.allocFrames(firstVmOwner, 256);
+    auto frames = allocList(node, firstVmOwner, 256);
     for (Mfn mfn : frames)
         node.freeFrame(mfn);
     EXPECT_EQ(node.freeFrames(), 256u);
@@ -56,8 +70,8 @@ TEST(MachineNode, OwnerAccountingPerOwner)
     MachineMemory mm;
     mm.addNode(MemType::SlowMem, dramSpec(mib));
     auto &node = mm.node(0);
-    node.allocFrames(firstVmOwner, 10);
-    node.allocFrames(firstVmOwner + 1, 5);
+    allocList(node, firstVmOwner, 10);
+    allocList(node, firstVmOwner + 1, 5);
     EXPECT_EQ(node.framesOwnedBy(firstVmOwner), 10u);
     EXPECT_EQ(node.framesOwnedBy(firstVmOwner + 1), 5u);
     EXPECT_EQ(node.framesOwnedBy(ownerVmm), 0u);

@@ -22,6 +22,7 @@ using namespace hos;
 using namespace hos::guestos;
 using namespace hos::workload;
 using test::Fnv;
+using test::kernelFingerprint;
 
 /** Drives the protected region helpers through a fixed script. */
 class ChurnProbe final : public Workload
@@ -105,68 +106,6 @@ class ChurnProbe final : public Workload
 
     guestos::FileId file_ = guestos::noFile;
 };
-
-std::uint64_t
-kernelFingerprint(GuestKernel &k)
-{
-    Fnv f;
-    PageArray &pages = k.pages();
-    for (unsigned nid = 0; nid < k.numNodes(); ++nid) {
-        NumaNode &node = k.node(nid);
-        for (std::size_t zi = 0; zi < node.numZones(); ++zi) {
-            Zone &z = node.zone(zi);
-            f.add(z.freePages());
-            f.add(z.managedPages());
-            for (unsigned o = 0; o < BuddyAllocator::maxOrder; ++o)
-                f.addList(z.buddy().freeList(o), pages);
-            f.addList(z.lru().activeList(), pages);
-            f.addList(z.lru().inactiveList(), pages);
-        }
-        for (unsigned cpu = 0; cpu < k.percpu().cpus(); ++cpu)
-            f.addList(k.percpu().cacheList(cpu, nid), pages);
-    }
-    f.add(k.pageTablePages());
-    for (Gpfn pfn = 0; pfn < pages.size(); ++pfn) {
-        const PageRef p = pages.page(pfn);
-        f.add(static_cast<std::uint64_t>(p.allocated()) |
-              static_cast<std::uint64_t>(p.populated()) << 1 |
-              static_cast<std::uint64_t>(p.pte_accessed()) << 2 |
-              static_cast<std::uint64_t>(p.in_buddy()) << 3 |
-              static_cast<std::uint64_t>(p.referenced()) << 4 |
-              static_cast<std::uint64_t>(p.dirty()) << 5 |
-              static_cast<std::uint64_t>(p.under_io()) << 6 |
-              static_cast<std::uint64_t>(p.unevictable()) << 7 |
-              static_cast<std::uint64_t>(p.buddy_order()) << 8 |
-              static_cast<std::uint64_t>(p.type()) << 16 |
-              static_cast<std::uint64_t>(p.lru()) << 24 |
-              static_cast<std::uint64_t>(p.list_id()) << 32);
-        f.add(p.heat());
-        f.add(p.last_touch());
-        f.add(p.owner_process());
-        f.add(p.vaddr());
-        f.add(p.link_prev());
-        f.add(p.link_next());
-    }
-    for (ProcessId pid = 0; k.hasProcess(pid); ++pid) {
-        PageTable &pt = k.process(pid).pageTable();
-        f.add(pt.mappedPages());
-        f.add(pt.tableNodes());
-        pt.scanRange(
-            0, PageTable::vaSpan,
-            [&](std::uint64_t va, const PteView &v) {
-                f.add(va);
-                f.add(v.pfn);
-                f.add(static_cast<std::uint64_t>(v.accessed) |
-                      static_cast<std::uint64_t>(v.dirty) << 1);
-            },
-            /*clear_accessed=*/false);
-    }
-    sim::Rng placement = k.allocator().rng();
-    f.add(placement.next());
-    f.add(k.allocator().totalRequests());
-    f.add(k.allocator().totalFastMisses());
-    return f.h;
-}
 
 TEST(GuestKernelState, RegionChurnMatchesPinnedFingerprint)
 {

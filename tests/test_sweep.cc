@@ -138,6 +138,13 @@ TEST(Scenario, BadParamsAreRejectedWithContext)
         {"fast_bytes", "nan"},     {"fast_bytes", "inf"},
         {"fast_bytes", "-1"},      {"slow_bytes", "1e300"},
         {"llc_bytes", "0.5"},      {"seed", "nan"},
+        // Tiers the machine cannot boot: no frame at all, or frame
+        // arrays past maxTierBytes; and an LLC with no capacity.
+        {"fast_bytes", "0"},       {"fast_bytes", "100"},
+        {"slow_bytes", "0"},       {"slow_bytes", "4095"},
+        {"fast_bytes", "1099511627777"},
+        {"fast_bytes", "18446744073709551615"},
+        {"llc_bytes", "0"},
     };
     for (const auto &[key, value] : out_of_range) {
         error.clear();
@@ -145,6 +152,13 @@ TEST(Scenario, BadParamsAreRejectedWithContext)
             << key << "=" << value;
         EXPECT_NE(error.find(key), std::string::npos) << error;
     }
+    // The tier bounds themselves are bootable sizes.
+    core::Scenario edge;
+    EXPECT_TRUE(core::applyScenarioParam(edge, "fast_bytes", "4096"));
+    EXPECT_TRUE(core::applyScenarioParam(edge, "slow_bytes",
+                                         "1099511627776"));
+    EXPECT_EQ(edge.slow_bytes, core::maxTierBytes);
+    EXPECT_TRUE(core::applyScenarioParam(edge, "llc_bytes", "1"));
     // The failed applications left the scenario untouched.
     EXPECT_DOUBLE_EQ(s.scale, 1.0);
     EXPECT_EQ(s.approach, core::Approach::HeteroLru);

@@ -737,7 +737,8 @@ class FileAnalysis
                 continue;
             for (std::size_t i = fn.first; i < fn.second; ++i) {
                 if (t[i].kind != Token::Kind::Ident ||
-                    (t[i].text != "set" && t[i].text != "clear") ||
+                    (t[i].text != "set" && t[i].text != "setRun" &&
+                     t[i].text != "clear") ||
                     i < 2 || !isPunct(t[i - 1], ".") ||
                     i + 1 >= fn.second || !isPunct(t[i + 1], "(")) {
                     continue;
