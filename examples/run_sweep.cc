@@ -20,6 +20,10 @@
  *   run_sweep --set=scale=0.1 --axis=approach=od,lru,vmm,coord \
  *             --axis=slow_lat_factor=2,5 --jobs=0
  *
+ * Input that cannot be run (an unknown option, a bad --set or --axis,
+ * a scenario or sweep file that does not load or expand) exits 2 with
+ * a diagnostic on stderr.
+ *
  * Results are bit-identical for any --jobs value: every point is an
  * isolated simulation with a spec-derived seed, so parallelism only
  * changes the wall-clock, never a byte of results.json.
@@ -136,7 +140,7 @@ main(int argc, char **argv)
             const std::size_t eq = kv.find('=');
             if (eq == std::string::npos || eq == 0) {
                 std::fprintf(stderr, "bad --set '%s'\n", v);
-                return 1;
+                return 2;
             }
             sets.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
         } else if (const char *v = value("--axis=")) {
@@ -144,13 +148,13 @@ main(int argc, char **argv)
             std::vector<std::string> values;
             if (!splitAxis(v, key, values)) {
                 std::fprintf(stderr, "bad --axis '%s'\n", v);
-                return 1;
+                return 2;
             }
             axes.emplace_back(std::move(key), std::move(values));
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
             usage();
-            return 1;
+            return 2;
         }
     }
 
@@ -162,7 +166,7 @@ main(int argc, char **argv)
         if (!loaded) {
             std::fprintf(stderr, "cannot load sweep '%s': %s\n",
                          sweep_file.c_str(), error.c_str());
-            return 1;
+            return 2;
         }
         sweep = std::move(*loaded);
     } else if (!scenario_file.empty()) {
@@ -170,7 +174,7 @@ main(int argc, char **argv)
         if (!base) {
             std::fprintf(stderr, "cannot load scenario '%s': %s\n",
                          scenario_file.c_str(), error.c_str());
-            return 1;
+            return 2;
         }
         sweep = core::Sweep(*base);
     }
@@ -180,7 +184,7 @@ main(int argc, char **argv)
                                       &error)) {
             std::fprintf(stderr, "--set %s: %s\n", key.c_str(),
                          error.c_str());
-            return 1;
+            return 2;
         }
     }
     for (auto &[key, values] : axes)
@@ -190,7 +194,7 @@ main(int argc, char **argv)
     if (points.empty()) {
         std::fprintf(stderr, "sweep expansion failed: %s\n",
                      error.c_str());
-        return 1;
+        return 2;
     }
 
     std::printf("sweep: %zu point%s", points.size(),

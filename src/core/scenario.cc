@@ -156,6 +156,44 @@ wholeU64(const std::string &key, const std::string &value, double num,
                    "need a whole number in [0, 2^64)", error);
 }
 
+/**
+ * Read a `slow_override` object over the "custom" tier's defaults.
+ * Only MemTierSpec's name, latencies and bandwidth are keys; the
+ * numbers must be finite and positive, as MemDevice requires.
+ */
+bool
+slowOverrideFromJson(const sim::JsonValue &v, mem::MemTierSpec &spec,
+                     std::string *error)
+{
+    if (!v.isObject())
+        return setError(error, "slow_override must be an object");
+    spec.name = "custom";
+    for (const auto &[key, val] : v.object) {
+        const std::string value = val.scalarText();
+        if (key == "name") {
+            if (!val.isString())
+                return setError(error, "bad value '" + value +
+                                           "' for 'slow_override.name'");
+            spec.name = val.string;
+            continue;
+        }
+        double *field = key == "load_latency_ns"    ? &spec.load_latency_ns
+                        : key == "store_latency_ns" ? &spec.store_latency_ns
+                        : key == "bandwidth_gbps"   ? &spec.bandwidth_gbps
+                                                    : nullptr;
+        if (!field)
+            return setError(error, "unknown slow_override key '" + key + "'");
+        double num = 0.0;
+        if (!parseNumber(value, num))
+            num = std::nan("");
+        if (!inRange("slow_override." + key, value, num, minPositive,
+                     maxFinite, false, "need a finite number > 0", error))
+            return false;
+        *field = num;
+    }
+    return true;
+}
+
 } // namespace
 
 bool
@@ -388,21 +426,9 @@ scenarioFromJson(const sim::JsonValue &v, std::string *error)
     Scenario s;
     for (const auto &[key, val] : v.object) {
         if (key == "slow_override") {
-            if (!val.isObject()) {
-                setError(error, "slow_override must be an object");
-                return std::nullopt;
-            }
             mem::MemTierSpec spec;
-            spec.name = "custom";
-            if (const auto *p = val.find("name"))
-                spec.name = p->asString(spec.name);
-            if (const auto *p = val.find("load_latency_ns"))
-                spec.load_latency_ns = p->asDouble(spec.load_latency_ns);
-            if (const auto *p = val.find("store_latency_ns"))
-                spec.store_latency_ns =
-                    p->asDouble(spec.store_latency_ns);
-            if (const auto *p = val.find("bandwidth_gbps"))
-                spec.bandwidth_gbps = p->asDouble(spec.bandwidth_gbps);
+            if (!slowOverrideFromJson(val, spec, error))
+                return std::nullopt;
             s.slow_override = spec;
             continue;
         }

@@ -140,8 +140,9 @@ TEST(RegionTracker, MergesWhenPatternsAgreeAgain)
         merges += res.merges;
         expectTilesFullVm(tracker, f.guest->pages().size(), cfg);
     }
-    if (grown > cfg.region_min)
+    if (grown > cfg.region_min) {
         EXPECT_GT(merges, 0u) << "agreeing neighbors never re-merged";
+    }
     EXPECT_LE(tracker.regions().size(), grown);
 }
 

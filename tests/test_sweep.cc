@@ -166,6 +166,47 @@ TEST(Scenario, BadParamsAreRejectedWithContext)
               core::scenarioToJson(core::Scenario{}));
 }
 
+TEST(Scenario, BadSlowOverrideIsRejected)
+{
+    // A zero or negative bandwidth or latency would trip MemDevice's
+    // assertions mid-boot; an unknown key is refused as it is at the
+    // top level. Each reports the key it rejects.
+    const std::pair<const char *, const char *> bad[] = {
+        {R"({"bandwidth_gbps": 0})", "slow_override.bandwidth_gbps"},
+        {R"({"bandwidth_gbps": -3})", "slow_override.bandwidth_gbps"},
+        {R"({"bandwidth_gbps": "nan"})", "slow_override.bandwidth_gbps"},
+        {R"({"load_latency_ns": 0})", "slow_override.load_latency_ns"},
+        {R"({"load_latency_ns": "inf"})", "slow_override.load_latency_ns"},
+        {R"({"store_latency_ns": -1})", "slow_override.store_latency_ns"},
+        {R"({"store_latency_ns": true})", "slow_override.store_latency_ns"},
+        {R"({"name": 7})", "slow_override.name"},
+        {R"({"latency_ns": 300})", "unknown slow_override key 'latency_ns'"},
+        {R"([1])", "slow_override must be an object"},
+    };
+    for (const auto &[spec, what] : bad) {
+        const auto doc = sim::jsonParse(
+            std::string(R"({"app": "graphchi", "slow_override": )") + spec +
+            "}");
+        ASSERT_TRUE(doc) << spec;
+        std::string error;
+        EXPECT_FALSE(core::scenarioFromJson(*doc, &error)) << spec;
+        EXPECT_NE(error.find(what), std::string::npos) << error;
+    }
+
+    // A partial override keeps the custom tier's other fields.
+    const auto doc =
+        sim::jsonParse(R"({"slow_override": {"bandwidth_gbps": 2.5}})");
+    ASSERT_TRUE(doc);
+    std::string error;
+    const auto s = core::scenarioFromJson(*doc, &error);
+    ASSERT_TRUE(s) << error;
+    ASSERT_TRUE(s->slow_override);
+    EXPECT_EQ(s->slow_override->name, "custom");
+    EXPECT_DOUBLE_EQ(s->slow_override->bandwidth_gbps, 2.5);
+    EXPECT_DOUBLE_EQ(s->slow_override->load_latency_ns,
+                     mem::MemTierSpec{}.load_latency_ns);
+}
+
 TEST(Sweep, ExpansionIsRowMajor)
 {
     core::Sweep sweep(tinyBase());
