@@ -18,7 +18,7 @@
  *
  * --metrics enables the hos::metrics collector on both runs;
  * --results writes the DRF run's telemetry as a results JSON whose
- * top-level "metrics" object hos-timeline consumes directly.
+ * top-level "metrics" object `hos-inspect timeline` reads directly.
  */
 
 #include <cstdio>

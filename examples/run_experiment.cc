@@ -37,13 +37,15 @@
  *   --xray                  placement-quality x-ray: misplaced-hotness
  *                           summary printed after the run and the full
  *                           report embedded in --results output under
- *                           "xray" (feed that file to hos-explain)
+ *                           "xray" (feed that file to hos-inspect
+ *                           explain)
  *
  * Windowed metrics (needs -DHOS_METRICS=on, the default):
  *   --metrics               per-VM windowed series + slowdown SLO
  *                           percentiles, printed after the run and
  *                           embedded in --results output under
- *                           "metrics" (feed that file to hos-timeline)
+ *                           "metrics" (feed that file to hos-inspect
+ *                           timeline)
  *
  * Exit status 2 marks every rejected input: an unknown or misplaced
  * --flag (with a nearest-valid-flag suggestion), a malformed or
@@ -61,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "metrics/metrics.hh"
@@ -101,9 +104,9 @@ usage()
         "  --prof                  span-profiler cost attribution\n"
         "  --prof-collapsed=FILE   flamegraph collapsed-stack export\n"
         "  --xray                  placement-quality telemetry "
-        "(hos-explain input)\n"
+        "(hos-inspect explain input)\n"
         "  --metrics               windowed series + slowdown SLO "
-        "(hos-timeline input)\n"
+        "(hos-inspect timeline input)\n"
         "exit status 2: a rejected flag, --set value or argument");
     std::printf("fast_bytes and slow_bytes (from fast_ratio and scale, "
                 "or --set) must lie\nin [%llu, %llu] (one page to "
@@ -120,51 +123,12 @@ const char *const kKnownFlags[] = {
     "--metrics",     "--list",
 };
 
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t up = row[j];
-            const std::size_t sub = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-            row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
-            diag = up;
-        }
-    }
-    return row[b.size()];
-}
-
-/** The known flag nearest to `arg` (compared on the name, sans '='). */
-std::string
-nearestFlag(const std::string &arg)
-{
-    const std::string name = arg.substr(0, arg.find('='));
-    std::string best;
-    std::size_t best_d = ~std::size_t(0);
-    for (const char *f : kKnownFlags) {
-        std::string fname = f;
-        if (!fname.empty() && fname.back() == '=')
-            fname.pop_back();
-        const std::size_t d = editDistance(name, fname);
-        if (d < best_d) {
-            best_d = d;
-            best = fname;
-        }
-    }
-    return best;
-}
-
 /** Exit status 2 with a did-you-mean hint — unknown/misplaced flags. */
 int
 rejectFlag(const char *arg, const char *why)
 {
     std::fprintf(stderr, "%s '%s' (did you mean '%s'?)\n", why, arg,
-                 nearestFlag(arg).c_str());
+                 cli::nearestFlag(arg, kKnownFlags).c_str());
     usage();
     return 2;
 }

@@ -72,17 +72,17 @@ const Case kCases[] = {
     {"bad_charge_span.cc", "charge-span", "src/fix.cc"},
     {"bad_tier_xray.cc", "tier-xray", "src/fix.cc"},
     {"bad_telemetry_purity.cc", "telemetry-purity", "src/fix.cc"},
-    {"bad_xray_int.cc", "xray-int", "src/xray/fix.cc"},
-    {"bad_metrics_purity.cc", "metrics-purity", "src/metrics/fix.cc"},
+    {"bad_xray_int.cc", "telemetry-purity", "src/xray/fix.cc"},
+    {"bad_metrics_purity.cc", "telemetry-purity", "src/metrics/fix.cc"},
     {"bad_loose_hotness_key.cc", "loose-hotness-key", "tests/fix.cc"},
     {"bad_retired_api.cc", "retired-api", "src/fix.cc"},
     {"bad_soa_field_write.cc", "soa-field-write", "src/fix.cc"},
     {"bad_soa_cache_file.cc", "soa-field-write", "src/fix.cc"},
 };
 
-TEST(Analyze, CatalogHasFourteenRules)
+TEST(Analyze, CatalogHasTwelveRules)
 {
-    EXPECT_EQ(ruleIds().size(), 14u);
+    EXPECT_EQ(ruleIds().size(), 12u);
     // Every fixture case names a cataloged rule.
     for (const Case &c : kCases) {
         EXPECT_NE(std::find(ruleIds().begin(), ruleIds().end(),
@@ -144,22 +144,41 @@ TEST(Analyze, SuppressionCommentsSilenceFindings)
 
 TEST(Analyze, PathScopingConfinesRules)
 {
-    // xray-int only runs under src/xray/; loose-hotness-key only under
-    // the harness trees (tests/bench/examples).
+    // telemetry-purity's float/double leg only fires under src/xray/
+    // and src/metrics/; its guard and observation-block legs fire
+    // anywhere in src. loose-hotness-key only runs under the harness
+    // trees (tests/bench/examples).
     const auto xf =
         analyzeFixture("bad_xray_int.cc", "src/guestos/fix.cc");
-    EXPECT_FALSE(hasRule(xf, "xray-int"));
-    // metrics-purity's float/double leg only fires under src/metrics;
-    // the guard/observation-block legs still fire anywhere in src.
+    EXPECT_FALSE(hasRule(xf, "telemetry-purity"));
     const auto mf =
         analyzeFixture("bad_metrics_purity.cc", "src/guestos/fix.cc");
     for (const Finding &f : mf) {
-        if (f.rule == "metrics-purity") {
+        if (f.rule == "telemetry-purity") {
             EXPECT_EQ(f.excerpt.find("double"), std::string::npos)
-                << "float ban escaped src/metrics scoping";
+                << "float ban escaped src/xray + src/metrics scoping";
         }
     }
-    EXPECT_TRUE(hasRule(mf, "metrics-purity"));
+    EXPECT_TRUE(hasRule(mf, "telemetry-purity"));
+    // Each of those legs: the HOS_METRICS_LEVEL guard and the
+    // metrics::active() block.
+    for (const char *call : {"charge(", "migrateBatch("}) {
+        EXPECT_TRUE(std::any_of(mf.begin(), mf.end(),
+                                [&](const Finding &f) {
+                                    return f.rule == "telemetry-purity" &&
+                                           f.excerpt.find(call) !=
+                                               std::string::npos;
+                                }))
+            << call << " not flagged";
+    }
+    const auto in_metrics =
+        analyzeFixture("bad_metrics_purity.cc", "src/metrics/fix.cc");
+    EXPECT_TRUE(std::any_of(in_metrics.begin(), in_metrics.end(),
+                            [](const Finding &f) {
+                                return f.excerpt.find("double") !=
+                                       std::string::npos;
+                            }))
+        << "float ban silent under src/metrics";
     const auto lf =
         analyzeFixture("bad_loose_hotness_key.cc", "src/fix.cc");
     EXPECT_FALSE(hasRule(lf, "loose-hotness-key"));

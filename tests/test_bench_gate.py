@@ -83,6 +83,34 @@ class BenchGate(unittest.TestCase):
         self.assertEqual(judge(lambda w, r: run_output(
             w, scale={"run_s": 3.0} if r == 0 else None)), [])
 
+    def test_noisy_parent_marks_the_row_unresolved(self):
+        # The parent's run_s rounds spread 0.7x-1.3x: IQR 30% of the
+        # median, wider than the 25% bound.
+        noisy = rounds(lambda w, r: run_output(
+            w, scale={"run_s": 0.7 + 0.15 * r}))
+        bounds = gate.load_bounds(ROOT / "BENCHMARK.json")
+
+        def verdict(change):
+            report, failures = gate.judge(noisy, rounds(change), bounds)
+            row = next(line for line in report if "run_s " in line)
+            return row, failures
+
+        row, failures = verdict(lambda w, r: run_output(w))
+        self.assertIn("UNRESOLVED", row)
+        self.assertNotIn("REGRESSION", row)
+        self.assertEqual(failures, [])
+        # A median past the bound still fails, and says it is unresolved.
+        row, failures = verdict(lambda w, r: run_output(
+            w, scale={"run_s": 1.3}))
+        self.assertIn("REGRESSION  UNRESOLVED", row)
+        self.assertEqual(len(failures), len(gate.PINNED))
+        self.assertTrue(all("unresolved" in f for f in failures))
+        # Every change round beating every parent round resolves it.
+        row, failures = verdict(lambda w, r: run_output(
+            w, scale={"run_s": 0.6}))
+        self.assertNotIn("UNRESOLVED", row)
+        self.assertEqual(failures, [])
+
     def test_failed_iteration_fails(self):
         failures = judge(lambda w, r: run_output(
             w, failed=1 if (w, r) == ("full_vm_sweep", 3) else 0))

@@ -15,9 +15,13 @@ const std::vector<std::string> kRuleIds = {
     "unordered-iter",   "ptr-key-ordered",   "ptr-hash",
     "raw-assert",       "naked-new",         "wall-clock",
     "charge-span",      "tier-xray",         "telemetry-purity",
-    "xray-int",         "metrics-purity",    "loose-hotness-key",
-    "retired-api",      "soa-field-write",
+    "loose-hotness-key", "retired-api",      "soa-field-write",
 };
+
+/** Preprocessor levels that mark a telemetry-only region. */
+const std::array<const char *, 4> kTelemetryGuards = {
+    "HOS_PROF_LEVEL", "HOS_XRAY_LEVEL", "HOS_METRICS_LEVEL",
+    "HOS_CHECK_LEVEL"};
 
 const std::array<const char *, 4> kUnorderedContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
@@ -334,10 +338,6 @@ class FileAnalysis
             tierXray();
         if (on("telemetry-purity"))
             telemetryPurity();
-        if (on("xray-int"))
-            xrayInt();
-        if (on("metrics-purity"))
-            metricsPurity();
         if (on("loose-hotness-key"))
             looseHotnessKey();
         if (on("retired-api"))
@@ -791,41 +791,66 @@ class FileAnalysis
                kMutators.end();
     }
 
+    /**
+     * Telemetry observes the run, it never steers it: a mutating
+     * sim-state call inside a telemetry-level guard or inside an
+     * `if (xray::active())` / `if (metrics::active())` observation
+     * block would make the telemetry-off build behave differently.
+     * src/xray and src/metrics are also integer-only, so their
+     * reports serialize bit-identically across build flags.
+     */
     void telemetryPurity()
     {
         const TokVec &t = ts();
-        // (a) preprocessor-guarded telemetry regions
+        // (a) float/double under the integer-only telemetry trees
+        if (startsWith(f_.path, "src/xray/") ||
+            startsWith(f_.path, "src/metrics/")) {
+            for (const Token &tok : t) {
+                if (tok.kind == Token::Kind::Ident &&
+                    (tok.text == "float" || tok.text == "double")) {
+                    emit("telemetry-purity", tok,
+                         "src/xray and src/metrics are integer-only: "
+                         "floating point rounds differently across "
+                         "build flags; use ticks, counts, basis "
+                         "points or ppm");
+                }
+            }
+        }
+        // (b) preprocessor-guarded telemetry regions
         for (std::size_t i = 0; i + 1 < t.size(); ++i) {
             if (t[i].kind != Token::Kind::Ident ||
                 !bannedMutator(t[i].text) || !isPunct(t[i + 1], "(")) {
                 continue;
             }
-            if (f_.guardMentions(t[i], "HOS_XRAY_LEVEL") ||
-                f_.guardMentions(t[i], "HOS_PROF_LEVEL") ||
-                f_.guardMentions(t[i], "HOS_CHECK_LEVEL")) {
-                emit("telemetry-purity", t[i],
-                     "mutating call '" + t[i].text +
-                         "()' inside a telemetry-level guard: the "
-                         "telemetry-off build would behave "
-                         "differently");
+            for (const char *guard : kTelemetryGuards) {
+                if (f_.guardMentions(t[i], guard)) {
+                    emit("telemetry-purity", t[i],
+                         "mutating call '" + t[i].text +
+                             "()' inside a " + guard +
+                             " guard: the telemetry-off build would "
+                             "behave differently");
+                    break;
+                }
             }
         }
-        // (b) `if (... xray::active() ...) { ... }` observation blocks
+        // (c) `if (... xray::active() ...) { ... }` and the same for
+        // metrics::active(): observation blocks
         for (std::size_t i = 0; i + 1 < t.size(); ++i) {
             if (!isIdent(t[i], "if") || !isPunct(t[i + 1], "("))
                 continue;
             const std::size_t close = matchForward(t, i + 1, "(", ")");
             if (close >= t.size())
                 continue;
-            bool is_xray_cond = false;
+            const Token *consumer = nullptr;
             for (std::size_t k = i + 2; k + 2 < close; ++k) {
-                if (isIdent(t[k], "xray") && isPunct(t[k + 1], "::") &&
+                if ((isIdent(t[k], "xray") || isIdent(t[k], "metrics")) &&
+                    isPunct(t[k + 1], "::") &&
                     isIdent(t[k + 2], "active")) {
-                    is_xray_cond = true;
+                    consumer = &t[k];
                     break;
                 }
             }
-            if (!is_xray_cond || close + 1 >= t.size())
+            if (consumer == nullptr || close + 1 >= t.size())
                 continue;
             std::size_t body_end;
             std::size_t body_begin = close + 1;
@@ -845,103 +870,9 @@ class FileAnalysis
                     isPunct(t[k + 1], "(")) {
                     emit("telemetry-purity", t[k],
                          "mutating call '" + t[k].text +
-                             "()' inside an xray::active() "
-                             "observation block: telemetry must "
-                             "observe decisions, never make them");
-                }
-            }
-        }
-    }
-
-    void xrayInt()
-    {
-        const TokVec &t = ts();
-        for (const Token &tok : t) {
-            if (tok.kind == Token::Kind::Ident &&
-                (tok.text == "float" || tok.text == "double")) {
-                emit("xray-int", tok,
-                     "src/xray is integer-only: floating point "
-                     "introduces rounding that varies across "
-                     "build flags; use fixed-point (basis points)");
-            }
-        }
-    }
-
-    /**
-     * hos::metrics purity: the collector is integer-only (reports
-     * must serialize bit-identically across build flags) and its
-     * observation regions must never steer the simulation (the
-     * metrics-off results.json byte-identity gate depends on it).
-     */
-    void metricsPurity()
-    {
-        const TokVec &t = ts();
-        // (a) float/double anywhere under src/metrics.
-        if (startsWith(f_.path, "src/metrics/")) {
-            for (const Token &tok : t) {
-                if (tok.kind == Token::Kind::Ident &&
-                    (tok.text == "float" || tok.text == "double")) {
-                    emit("metrics-purity", tok,
-                         "src/metrics is integer-only: floating point "
-                         "breaks bit-identical report serialization; "
-                         "use ticks, counts, or ppm ratios");
-                }
-            }
-        }
-        // (b) mutating sim-state calls inside HOS_METRICS_LEVEL
-        // preprocessor guards.
-        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            if (t[i].kind != Token::Kind::Ident ||
-                !bannedMutator(t[i].text) || !isPunct(t[i + 1], "(")) {
-                continue;
-            }
-            if (f_.guardMentions(t[i], "HOS_METRICS_LEVEL")) {
-                emit("metrics-purity", t[i],
-                     "mutating call '" + t[i].text +
-                         "()' inside a HOS_METRICS_LEVEL guard: the "
-                         "metrics-off build would behave differently");
-            }
-        }
-        // (c) `if (... metrics::active() ...) { ... }` observation
-        // blocks — sampling must be read-only.
-        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            if (!isIdent(t[i], "if") || !isPunct(t[i + 1], "("))
-                continue;
-            const std::size_t close = matchForward(t, i + 1, "(", ")");
-            if (close >= t.size())
-                continue;
-            bool is_metrics_cond = false;
-            for (std::size_t k = i + 2; k + 2 < close; ++k) {
-                if (isIdent(t[k], "metrics") &&
-                    isPunct(t[k + 1], "::") &&
-                    isIdent(t[k + 2], "active")) {
-                    is_metrics_cond = true;
-                    break;
-                }
-            }
-            if (!is_metrics_cond || close + 1 >= t.size())
-                continue;
-            std::size_t body_end;
-            std::size_t body_begin = close + 1;
-            if (isPunct(t[body_begin], "{")) {
-                body_end = matchForward(t, body_begin, "{", "}");
-            } else {
-                body_end = body_begin;
-                while (body_end < t.size() &&
-                       !isPunct(t[body_end], ";")) {
-                    ++body_end;
-                }
-            }
-            for (std::size_t k = body_begin;
-                 k < std::min(body_end, t.size()); ++k) {
-                if (t[k].kind == Token::Kind::Ident &&
-                    bannedMutator(t[k].text) && k + 1 < t.size() &&
-                    isPunct(t[k + 1], "(")) {
-                    emit("metrics-purity", t[k],
-                         "mutating call '" + t[k].text +
-                             "()' inside a metrics::active() "
-                             "observation block: metrics observes "
-                             "the run, it never steers it");
+                             "()' inside a " + consumer->text +
+                             "::active() observation block: telemetry "
+                             "must observe decisions, never make them");
                 }
             }
         }
@@ -1091,10 +1022,6 @@ ruleAppliesTo(const std::string &rule, const std::string &path)
     const bool in_harness = underDir(path, "tests") ||
                             underDir(path, "bench") ||
                             underDir(path, "examples");
-    if (rule == "xray-int")
-        return startsWith(path, "src/xray/");
-    if (rule == "metrics-purity")
-        return in_src;
     if (rule == "loose-hotness-key")
         return in_harness;
     if (rule == "retired-api")

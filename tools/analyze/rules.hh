@@ -2,7 +2,7 @@
  * @file
  * Rule catalog and analysis driver for hos-analyze.
  *
- * Fourteen codebase-specific rules over the token stream, grouped by
+ * Twelve codebase-specific rules over the token stream, grouped by
  * the invariant they defend (see DESIGN.md "Static analysis"):
  *
  * Determinism (bit-identical serial/parallel sweeps):
@@ -18,11 +18,10 @@
  *   tier-xray        P2M retarget without ringing the xray recorder
  *
  * Telemetry purity ("off" builds stay byte-identical):
- *   telemetry-purity mutating API call inside a telemetry-only region
- *   xray-int         float/double tokens inside src/xray
- *   metrics-purity   float/double inside src/metrics, or mutating API
- *                    calls under HOS_METRICS_LEVEL guards /
- *                    metrics::active() observation blocks
+ *   telemetry-purity mutating API call under a HOS_{PROF,XRAY,METRICS,
+ *                    CHECK}_LEVEL guard or inside an xray::active() /
+ *                    metrics::active() observation block, or
+ *                    float/double under src/xray or src/metrics
  *
  * Hygiene (API lifecycle):
  *   loose-hotness-key retired loose hotness keys in scenario

@@ -23,7 +23,10 @@ It exits 1 when
 The bounds are BENCHMARK.json's, except sim_ns_per_host_s, which keeps
 the 15% of the self-performance gate this one replaced. Per workload and
 metric it prints both medians, the parent's interquartile range and how
-many rounds the change won.
+many rounds the change won. A row whose parent IQR is wider than the
+bound is marked UNRESOLVED, unless every change round beat every parent
+round: the host was too noisy there to tell a change of the bound's size
+from none. The mark does not change the decision.
 """
 
 import json
@@ -97,15 +100,20 @@ def judge(parent, change, bounds):
             wins = sum(sign * (b - a) > 0 for a, b in zip(c, p))
             change_frac = c_med / p_med - 1.0
             worse = sign * change_frac > bound
+            unresolved = ((hi - lo) / p_med > bound and not all(
+                sign * (b - a) > 0 for a in c for b in p))
             report.append(
                 f"  {name:<18} parent {p_med:<12.6g} (IQR {lo:.6g}-"
                 f"{hi:.6g})  change {c_med:<12.6g} {change_frac:+7.1%}  "
                 f"wins {wins}/{len(c)}  bound {bound:.0%}"
-                + ("  REGRESSION" if worse else ""))
+                + ("  REGRESSION" if worse else "")
+                + ("  UNRESOLVED" if unresolved else ""))
             if worse:
                 failures.append(
                     f"{workload}: {name} {change_frac:+.1%} against the "
-                    f"parent, past its {bound:.0%} bound")
+                    f"parent, past its {bound:.0%} bound"
+                    + (" (unresolved: the parent's IQR is wider than "
+                       "the bound)" if unresolved else ""))
     return report, failures
 
 
